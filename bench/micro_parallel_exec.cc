@@ -1,14 +1,13 @@
-// Microbenchmarks: morsel-driven parallel execution, row vs columnar.
+// Microbenchmarks: morsel-driven parallel execution on the columnar engine.
 //
 // Runs the Figure 7 workload's query shapes (scan-heavy filters, the
-// fact-dimension join, and group-by aggregation) on ~40x-scaled tables
-// through BOTH execution engines — the vectorized columnar default and the
-// row-at-a-time reference — at DOP {1, 4, 8}. Each cell reports input rows
-// per second, nanoseconds per tuple, and estimated cycles per tuple
-// (seconds * CLOUDVIEWS_CPU_GHZ, default 3.0); every timing is the MINIMUM
-// over several runs so the committed BENCH baseline stays stable under
-// scheduler noise. The headline `*_speedup` metrics are columnar throughput
-// over row throughput for the same shape and DOP.
+// fact-dimension join, and group-by aggregation) on ~40x-scaled tables at
+// DOP {1, 4, 8}. Each cell reports absolute input rows per second and
+// estimated cycles per tuple (seconds * CLOUDVIEWS_CPU_GHZ, default 3.0);
+// every timing is the MINIMUM over several runs so the committed BENCH
+// baseline stays stable under scheduler noise. The headline `*_scaling`
+// metrics are throughput at DOP 4 and 8 over throughput at DOP 1 for the
+// same shape — how much the morsel pool actually buys on this machine.
 
 #include <algorithm>
 #include <cstdio>
@@ -58,32 +57,38 @@ double CpuGhz() {
   return 3.0;
 }
 
+constexpr int kDops[] = {1, 4, 8};
+constexpr size_t kNumDops = sizeof(kDops) / sizeof(kDops[0]);
+
 struct Measurement {
   double seconds = std::numeric_limits<double>::infinity();  // min over runs
   uint64_t input_rows = 0;
-  uint64_t rows_out = 0;
 };
 
-Measurement Measure(const DatasetCatalog& catalog, const LogicalOpPtr& plan,
-                    ExecEngine engine, int dop, int runs) {
-  Measurement m;
-  for (int i = 0; i <= runs; ++i) {  // one extra warm-up iteration
-    ExecContext context;
-    context.catalog = &catalog;
-    context.dop = dop;
-    context.engine = engine;
-    Executor executor(context);
-    auto r = executor.Execute(plan);
-    if (!r.ok()) {
-      std::printf("bench query failed: %s\n", r.status().ToString().c_str());
-      std::abort();
+// Times `plan` at every DOP, `runs` rounds after one warm-up round
+// (first-touch, pool spin-up). The DOPs interleave within each round, so
+// machine-load drift hits the DOP-1 denominator and the DOP-N numerators
+// of the scaling ratios alike.
+void Measure(const DatasetCatalog& catalog, const LogicalOpPtr& plan,
+             int runs, Measurement (*out)[kNumDops]) {
+  for (int round = 0; round <= runs; ++round) {
+    for (size_t d = 0; d < kNumDops; ++d) {
+      ExecContext context;
+      context.catalog = &catalog;
+      context.dop = kDops[d];
+      Executor executor(context);
+      auto r = executor.Execute(plan);
+      if (!r.ok()) {
+        std::printf("bench query failed: %s\n",
+                    r.status().ToString().c_str());
+        std::abort();
+      }
+      if (round == 0) continue;
+      Measurement& m = (*out)[d];
+      m.seconds = std::min(m.seconds, r->stats.wall_seconds);
+      m.input_rows = r->stats.input_rows;
     }
-    if (i == 0) continue;  // discard the warm-up (first-touch, pool spin-up)
-    m.seconds = std::min(m.seconds, r->stats.wall_seconds);
-    m.input_rows = r->stats.input_rows;
-    m.rows_out = r->output->num_rows();
   }
-  return m;
 }
 
 int RunBench(int argc, char** argv) {
@@ -94,8 +99,8 @@ int RunBench(int argc, char** argv) {
   }
   const double ghz = CpuGhz();
   bench_util::PrintHeader(
-      "Parallel execution micro: columnar vs row engine, DOP {1, 4, 8}",
-      "ROADMAP item 1: vectorized execution under morsel parallelism");
+      "Parallel execution micro: columnar engine, DOP {1, 4, 8}",
+      "ROADMAP item 2: execution that scales with cores");
 
   DatasetCatalog catalog;
   catalog
@@ -120,9 +125,8 @@ int RunBench(int argc, char** argv) {
       .Metric("runs", static_cast<int64_t>(runs))
       .Metric("cpu_ghz", ghz);
 
-  std::printf("%-20s %4s | %12s %12s | %9s %9s | %8s\n", "query", "dop",
-              "row Mrows/s", "col Mrows/s", "row cyc/t", "col cyc/t",
-              "speedup");
+  std::printf("%-20s %4s | %12s | %9s | %8s\n", "query", "dop", "Mrows/s",
+              "cyc/t", "scaling");
 
   for (const QueryShape& shape : kShapes) {
     PlanBuilder builder(&catalog);
@@ -131,27 +135,25 @@ int RunBench(int argc, char** argv) {
       std::printf("plan failed: %s\n", plan.status().ToString().c_str());
       return 1;
     }
-    for (int dop : {1, 4, 8}) {
-      Measurement row = Measure(catalog, *plan, ExecEngine::kRow, dop, runs);
-      Measurement col =
-          Measure(catalog, *plan, ExecEngine::kColumnar, dop, runs);
-      const double rows = static_cast<double>(row.input_rows);
-      const double row_rps = rows / row.seconds;
-      const double col_rps = rows / col.seconds;
-      const double row_cyc = row.seconds * ghz * 1e9 / rows;
-      const double col_cyc = col.seconds * ghz * 1e9 / rows;
-      const double speedup = col_rps / row_rps;
-      std::printf("%-20s %4d | %12.2f %12.2f | %9.1f %9.1f | %7.2fx\n",
-                  shape.name, dop, row_rps * 1e-6, col_rps * 1e-6, row_cyc,
-                  col_cyc, speedup);
+    Measurement measured[kNumDops];
+    Measure(catalog, *plan, runs, &measured);
+    const double dop1_rps = static_cast<double>(measured[0].input_rows) /
+                            measured[0].seconds;
+    for (size_t d = 0; d < kNumDops; ++d) {
+      const int dop = kDops[d];
+      const Measurement& m = measured[d];
+      const double rows = static_cast<double>(m.input_rows);
+      const double rps = rows / m.seconds;
+      const double cyc = m.seconds * ghz * 1e9 / rows;
+      const double scaling = rps / dop1_rps;
+      std::printf("%-20s %4d | %12.2f | %9.1f | %7.2fx\n", shape.name, dop,
+                  rps * 1e-6, cyc, scaling);
 
       const std::string prefix =
           std::string(shape.name) + "_dop" + std::to_string(dop);
-      report.Metric((prefix + "_row_rows_per_sec").c_str(), row_rps)
-          .Metric((prefix + "_col_rows_per_sec").c_str(), col_rps)
-          .Metric((prefix + "_row_cycles_per_tuple").c_str(), row_cyc)
-          .Metric((prefix + "_col_cycles_per_tuple").c_str(), col_cyc)
-          .Metric((prefix + "_speedup").c_str(), speedup);
+      report.Metric((prefix + "_col_rows_per_sec").c_str(), rps)
+          .Metric((prefix + "_col_cycles_per_tuple").c_str(), cyc);
+      if (dop > 1) report.Metric((prefix + "_scaling").c_str(), scaling);
     }
   }
   report.Print();

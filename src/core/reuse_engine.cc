@@ -229,7 +229,6 @@ Status ReuseEngine::ExecutePrepared(
                      static_cast<uint64_t>(request.day);
   context.now = request.submit_time;
   context.dop = options_.exec_dop;
-  context.engine = options_.exec_engine;
   context.batch_rows = options_.exec_batch_rows;
   context.sharing = directory;
   context.sharing_wait_seconds = options_.sharing_wait_seconds;
@@ -394,12 +393,9 @@ Result<std::vector<JobExecution>> ReuseEngine::RunSharedWindow(
     const std::vector<JobRequest>& requests) {
   std::vector<JobExecution> results;
   results.reserve(requests.size());
-  // Sharing needs at least two in-flight jobs and the columnar engine (the
-  // producer streams column batches); otherwise the window degrades to the
-  // serial path, bytes unchanged.
-  const bool sharable = options_.enable_sharing &&
-                        options_.exec_engine == ExecEngine::kColumnar &&
-                        requests.size() >= 2;
+  // Sharing needs at least two in-flight jobs; otherwise the window
+  // degrades to the serial path, bytes unchanged.
+  const bool sharable = options_.enable_sharing && requests.size() >= 2;
   if (!sharable) {
     for (const JobRequest& request : requests) {
       auto run = RunJob(request);
@@ -486,7 +482,6 @@ Result<std::vector<JobExecution>> ReuseEngine::RunSharedWindow(
                        static_cast<uint64_t>(elected.day);
     context.now = elected.submit_time;
     context.dop = options_.exec_dop;
-    context.engine = ExecEngine::kColumnar;
     context.batch_rows = options_.exec_batch_rows;
     producers.emplace_back(
         [context, stream_plan, stream, stats = &producer_stats[i]] {

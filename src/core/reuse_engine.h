@@ -50,13 +50,11 @@ struct ReuseEngineOptions {
   // default — simulator telemetry must be machine-independent, and measured
   // efficiency on a loaded CI box would leak into latency figures. Set to 0
   // for hardware concurrency or to an explicit DOP; outputs are identical
-  // at any setting (the executor's morsel pipelines are order-preserving).
+  // at any setting (the executor's morsel pipelines are order-preserving;
+  // tests/reference_exec is the serial specification they match).
   int exec_dop = 1;
-  // Physical engine for job execution. Both engines produce byte-identical
-  // outputs and view contents; kRow is the reference path kept for
-  // differential testing and incident triage.
-  ExecEngine exec_engine = ExecEngine::kColumnar;
-  // Rows per column batch when exec_engine is kColumnar.
+  // Rows per column batch for job execution. Outputs and view contents are
+  // identical at any batch size.
   size_t exec_batch_rows = 1024;
   // Time between the producing job's submission and the view becoming
   // visible to other compilations. Early sealing publishes as soon as the
@@ -69,8 +67,7 @@ struct ReuseEngineOptions {
   // when >= 2 jobs of a window cover the same eligible subexpression, one
   // producer pipeline executes it once and streams its batches to every
   // subscriber. Complements materialization, which only helps *later* jobs.
-  // Columnar engine only; windows fall back to serial RunJob when disabled
-  // or when exec_engine is kRow.
+  // Windows fall back to serial RunJob when disabled.
   bool enable_sharing = false;
   // Per-signature share / materialize / both decision knobs.
   sharing::SharingPolicyOptions sharing_policy;
@@ -152,8 +149,7 @@ class ReuseEngine {
   // shared subtree is computed once per window. Per-job outputs are
   // byte-identical to serial RunJob at every DOP and batch size — including
   // under producer aborts, where subscribers detach to private fallback
-  // execution. With sharing disabled (or on the row engine) this degrades
-  // to serial RunJob calls.
+  // execution. With sharing disabled this degrades to serial RunJob calls.
   Result<std::vector<JobExecution>> RunSharedWindow(
       const std::vector<JobRequest>& requests);
 

@@ -334,7 +334,7 @@ void GatherReferenced(const Expr& expr, const EvalInput& in,
   }
 }
 
-// AND/OR with the row engine's short-circuit contract: the right operand is
+// AND/OR with Expr::Evaluate's short-circuit contract: the right operand is
 // evaluated only for rows the left side leaves undecided.
 Status EvalAndOr(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   const bool is_and = expr.binary_op == BinaryOp::kAnd;
@@ -548,7 +548,7 @@ Status EvalBetween(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   return Status::OK();
 }
 
-// IN-list with the row engine's early-return contract: once a row matches an
+// IN-list with Expr::Evaluate's early-return contract: once a row matches an
 // item, later items are never evaluated for that row.
 Status EvalInList(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   ColumnPtr value;
@@ -639,8 +639,8 @@ Status EvalLike(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
 
 Status EvalExprBatch(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   if (in.num_rows == 0) {
-    // The row engine evaluates nothing for zero rows, so no error path of
-    // any kind may fire on an empty batch.
+    // Row-at-a-time evaluation sees nothing for zero rows, so no error path
+    // of any kind may fire on an empty batch.
     *out = std::make_shared<ColumnVector>();
     return Status::OK();
   }

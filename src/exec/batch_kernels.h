@@ -12,17 +12,18 @@ namespace cloudviews {
 
 // Vectorized expression evaluation over a ColumnBatch. The kernels replicate
 // Expr::Evaluate / EvalBinary cell for cell — same results, same null
-// handling, same error Status codes and messages — so the columnar engine
-// stays byte-identical to the row reference. The one sanctioned divergence
-// is *which* error surfaces when several rows of a batch would each error:
-// the row engine reports the first failing row's innermost error, the batch
-// engine the first failing subexpression's (see DESIGN.md, "Columnar
-// execution").
+// handling, same error Status codes and messages — so the engine stays
+// byte-identical to row-at-a-time evaluation (the reference interpreter in
+// tests/reference_exec calls Expr::Evaluate per row). The one sanctioned
+// divergence is *which* error surfaces when several rows of a batch would
+// each error: row-at-a-time evaluation reports the first failing row's
+// innermost error, the batch kernels the first failing subexpression's (see
+// DESIGN.md, "Columnar execution").
 //
-// AND/OR and IN-list honor the row engine's short-circuit contract exactly:
+// AND/OR and IN-list honor Expr::Evaluate's short-circuit contract exactly:
 // the right operand (or the next list item) is evaluated only for rows the
-// left side leaves undecided, so errors never surface for rows the row
-// engine would have short-circuited past.
+// left side leaves undecided, so errors never surface for rows row-at-a-time
+// evaluation would have short-circuited past.
 
 // Input batch for evaluation. Columns may contain null entries for ordinals
 // a sub-evaluation does not reference (sparse gathered contexts).

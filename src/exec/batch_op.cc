@@ -1,20 +1,26 @@
-// Columnar batch-at-a-time execution. Every operator here replicates its row
-// counterpart in physical_op.cc — values, types, null-ness, row order, and
-// integer stats counters are identical at any DOP and any batch size;
-// floating-point cost totals agree to accumulation-order rounding. See
-// DESIGN.md ("Columnar execution") for the sanctioned divergences (which
-// error surfaces first when several rows of a batch would each error).
+// Columnar batch-at-a-time execution. Every operator here matches the serial
+// reference interpreter (tests/reference_exec) — values, types, null-ness,
+// row order, and integer stats counters are identical at any DOP and any
+// batch size; floating-point cost totals agree to accumulation-order
+// rounding. See DESIGN.md ("Columnar execution") for the sanctioned
+// divergences (which error surfaces first when several rows of a batch would
+// each error).
 
 #include "exec/batch_op.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <utility>
 
 #include "common/hash.h"
+#include "common/thread_pool.h"
 #include "exec/batch_kernels.h"
+#include "exec/executor.h"
 #include "exec/shared_scan_op.h"
+#include "fault/fault.h"
+#include "fault/fault_sites.h"
 #include "obs/log.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -41,7 +47,7 @@ EvalInput InputOf(const BatchChunk& chunk) {
   return in;
 }
 
-// The batch analogue of PhysicalOp::CountRow over a whole batch.
+// Counts a whole output batch into *stats.
 void CountBatch(OperatorStats* stats, const ColumnBatch& batch, double cpu) {
   stats->rows_out += batch.num_rows;
   stats->bytes_out += BatchByteSize(batch);
@@ -87,13 +93,70 @@ bool KeepCell(const ColumnVector& v, size_t i) {
 
 }  // namespace
 
-Status BatchOp::Next(Row* row, bool* done) {
-  (void)row;
-  (void)done;
-  return Status::Internal(
-      "batch operator driven through row-at-a-time Next()");
+Status TimedParallelFor(const ParallelRuntime& runtime, size_t n, size_t grain,
+                        const std::function<Status(size_t morsel, size_t begin,
+                                                   size_t end)>& fn,
+                        OperatorStats* stats) {
+  if (n == 0) return Status::OK();
+  if (grain == 0) grain = 1;
+  size_t morsels = (n + grain - 1) / grain;
+  std::vector<double> busy(morsels, 0.0);
+  CLOUDVIEWS_RETURN_NOT_OK(ParallelFor(
+      runtime.pool, runtime.dop, n, grain,
+      [&](size_t m, size_t begin, size_t end) -> Status {
+        // Container preemption: the task is evicted before it runs and the
+        // scheduler re-queues it. Retrying before fn() keeps the morsel
+        // exactly-once on success — outputs stay byte-identical, only
+        // latency and the retry counter move. Bounded so a permanently
+        // failing site still surfaces as an error.
+        constexpr int kMaxPreemptRetries = 3;
+        for (int attempt = 0;; ++attempt) {
+          Status preempt = fault::Inject(fault::sites::kMorselPreempt);
+          if (preempt.ok()) break;
+          if (attempt + 1 >= kMaxPreemptRetries) return preempt;
+          static obs::Counter& retries =
+              obs::MetricsRegistry::Global().counter(
+                  obs::metric_names::kFaultsRetries);
+          retries.Increment();
+        }
+        // The trace span reuses the telemetry's measured interval, so the
+        // tracer's per-morsel durations sum to busy_seconds (to microsecond
+        // rounding) and its span count equals OperatorStats::morsels.
+        const bool traced = obs::Tracer::Enabled();
+        const uint64_t trace_start = traced ? obs::Tracer::NowMicros() : 0;
+        auto start = std::chrono::steady_clock::now();
+        Status status = fn(m, begin, end);
+        busy[m] = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+        if (traced) {
+          obs::Tracer::Global().RecordComplete(
+              "morsel", "morsel", trace_start,
+              static_cast<uint64_t>(busy[m] * 1e6 + 0.5));
+        }
+        return status;
+      }));
+  stats->morsels += morsels;
+  for (double b : busy) stats->busy_seconds += b;
+  return Status::OK();
 }
 
+void ConcatToChunk(const std::vector<ColumnBatch>& batches,
+                   BatchChunk* chunk) {
+  chunk->columns.clear();
+  chunk->num_rows = 0;
+  if (batches.empty()) return;
+  const size_t arity = batches[0].columns.size();
+  for (const ColumnBatch& b : batches) chunk->num_rows += b.num_rows;
+  chunk->columns.reserve(arity);
+  for (size_t c = 0; c < arity; ++c) {
+    chunk->columns.push_back(ConcatColumn(batches, c));
+  }
+}
+
+namespace {
+
+// Drains `child` to completion, collecting its non-empty batches.
 Status DrainBatches(BatchOp* child, std::vector<ColumnBatch>* out) {
   while (true) {
     ColumnBatch batch;
@@ -104,50 +167,15 @@ Status DrainBatches(BatchOp* child, std::vector<ColumnBatch>* out) {
   }
 }
 
+// Drains `child` and concatenates its batches into one chunk.
 Status DrainToChunk(BatchOp* child, BatchChunk* chunk) {
   std::vector<ColumnBatch> batches;
   CLOUDVIEWS_RETURN_NOT_OK(DrainBatches(child, &batches));
-  chunk->columns.clear();
-  chunk->num_rows = 0;
-  if (batches.empty()) return Status::OK();
-  const size_t arity = batches[0].columns.size();
-  for (const ColumnBatch& b : batches) chunk->num_rows += b.num_rows;
-  chunk->columns.reserve(arity);
-  for (size_t c = 0; c < arity; ++c) {
-    chunk->columns.push_back(ConcatColumn(batches, c));
-  }
+  ConcatToChunk(batches, chunk);
   return Status::OK();
 }
 
-Result<TablePtr> BindScanTable(const ExecContext& context,
-                               const LogicalOp& node, bool* is_view_scan) {
-  if (node.kind == LogicalOpKind::kScan) {
-    *is_view_scan = false;
-    if (context.catalog == nullptr) {
-      return Status::Internal("executor has no dataset catalog");
-    }
-    auto dataset = context.catalog->Lookup(node.dataset_name);
-    if (!dataset.ok()) return dataset.status();
-    if (!node.dataset_guid.empty() && dataset->guid != node.dataset_guid) {
-      return Status::Aborted("dataset " + node.dataset_name +
-                             " changed version since compilation (bound " +
-                             node.dataset_guid + ", current " + dataset->guid +
-                             ")");
-    }
-    return dataset->table;
-  }
-  *is_view_scan = true;
-  if (context.view_store == nullptr) {
-    return Status::Internal("plan reads a view but no view store set");
-  }
-  const MaterializedView* view =
-      context.view_store->Find(node.view_signature, context.now);
-  if (view == nullptr || view->table == nullptr) {
-    return Status::Aborted("materialized view vanished: " +
-                           node.view_signature.ToHex());
-  }
-  return view->table;
-}
+}  // namespace
 
 // --- BatchScanPipelineOp -----------------------------------------------------
 
@@ -165,7 +193,7 @@ BatchScanPipelineOp::BatchScanPipelineOp(const LogicalOp* logical,
     stage.op = op;
     if (op->kind == LogicalOpKind::kUdo) {
       // Only deterministic UDOs are fused; they key purely on the UDO name
-      // (same seeding as UdoOp / MorselPipelineOp).
+      // (same seeding as BatchUdoOp).
       stage.udo_seed = HashString(op->udo_name).lo;
     }
     stages_.push_back(std::move(stage));
@@ -247,8 +275,8 @@ Status BatchScanPipelineOp::RunRange(
         std::vector<uint32_t> sel;
         for (size_t i = 0; i < cur.num_rows; ++i) {
           // Deterministic pseudo-random keep/drop on (seed, row content) —
-          // identical to UdoOp for deterministic UDOs (which never mix in
-          // an arrival counter).
+          // identical to BatchUdoOp for deterministic UDOs (which never mix
+          // in an arrival counter).
           Hasher h(stages_[s].udo_seed);
           for (const ColumnPtr& col : cur.columns) col->HashCellInto(i, &h);
           double u = static_cast<double>(h.Finish().lo >> 11) *
@@ -513,7 +541,7 @@ Status BatchUdoOp::NextBatch(ColumnBatch* batch, bool* done) {
       // Deterministic pseudo-random keep/drop decision on (seed, row
       // content); non-deterministic UDOs additionally mix the global arrival
       // counter — batches stream in global input order, so the counter
-      // sequence matches the row engine exactly.
+      // sequence is the global arrival order at any DOP and batch size.
       Hasher h(seed_);
       for (const ColumnPtr& col : input.columns) col->HashCellInto(i, &h);
       if (!logical_->udo_deterministic) h.Update(counter_);
@@ -550,7 +578,7 @@ Status BatchSortOp::Open() {
   CLOUDVIEWS_RETURN_NOT_OK(DrainToChunk(child_.get(), &input));
   const size_t n = input.num_rows;
   // Precompute sort-key columns to keep the comparator cheap and fallible
-  // evaluation out of std::stable_sort (exactly SortOp's precomputed keys).
+  // evaluation out of std::stable_sort.
   std::vector<ColumnPtr> keys;
   keys.reserve(logical_->sort_keys.size());
   for (const SortKey& key : logical_->sort_keys) {
@@ -619,8 +647,8 @@ Status BatchAggregateOp::Open() {
   const size_t num_aggs = logical_->aggregates.size();
 
   // Group keys and aggregate arguments, evaluated vectorized over the whole
-  // input (the row engine evaluates the same expressions for every row; only
-  // which row's error surfaces first differs — see DESIGN.md).
+  // input (row-at-a-time evaluation sees the same expressions for every
+  // row; only which row's error surfaces first differs — see DESIGN.md).
   std::vector<ColumnPtr> key_cols;
   key_cols.reserve(num_keys);
   for (const ExprPtr& expr : logical_->group_by) {
@@ -635,8 +663,8 @@ Status BatchAggregateOp::Open() {
                                            InputOf(input), &arg_cols[s]));
   }
 
-  // Group hashes (unseeded Hasher over the key cells, .lo — exactly the row
-  // engine's group hash). Parallelized at DOP > 1 like the row engine's
+  // Group hashes (unseeded Hasher over the key cells, .lo — exactly
+  // Value::HashInto over the key row). Parallelized at DOP > 1 in morsels,
   // phase 1.
   std::vector<uint64_t> hashes(n);
   auto hash_range = [&](size_t begin, size_t end) {
@@ -673,7 +701,7 @@ Status BatchAggregateOp::Open() {
       bool equal = true;
       for (size_t k = 0; k < num_keys; ++k) {
         // Value::Compare orders nulls first, so "equal under Compare" is
-        // exactly the row engine's group-equality test.
+        // exactly row-at-a-time group equality over the key Values.
         if (CompareCells(*key_cols[k], i, *key_cols[k],
                          groups[cand].first_row) != 0) {
           equal = false;
@@ -757,7 +785,7 @@ Status BatchAggregateOp::Open() {
   }
 
   // Deterministic output order: groups sorted by representative key, the
-  // same total order HashAggregateOp::SortOutput produces (distinct groups
+  // a total order (distinct groups
   // always differ on some key column under Compare).
   std::vector<uint32_t> order(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) order[g] = static_cast<uint32_t>(g);
@@ -855,8 +883,8 @@ void BatchAggregateOp::Close() {
 // --- BatchSpoolOp ------------------------------------------------------------
 
 BatchSpoolOp::BatchSpoolOp(const LogicalOp* logical, BatchOpPtr child,
-                           SpoolOp::CompletionFn on_complete,
-                           SpoolOp::AbortFn on_abort)
+                           SpoolCompletionFn on_complete,
+                           SpoolAbortFn on_abort)
     : BatchOp(logical), child_(std::move(child)),
       on_complete_(std::move(on_complete)), on_abort_(std::move(on_abort)) {}
 
@@ -899,9 +927,10 @@ Status BatchSpoolOp::NextBatch(ColumnBatch* batch, bool* done) {
   for (size_t i = 0; i < n; ++i) {
     bytes_total += row_bytes[i];
     if (aborted_) continue;
-    // One injection check per row, exactly like the row spool — fault seeds
-    // that fire on the k-th write fire on the same row in both engines.
-    Status fault = InjectSpoolWriteFault();
+    // One injection check per row, in global row order — a fault seed that
+    // fires on the k-th write fires on the same row at any DOP and batch
+    // size.
+    Status fault = fault::Inject(fault::sites::kSpoolWrite);
     if (!fault.ok()) {
       // Abort cleanly: drop the partial output and keep streaming. The
       // consumer above never notices — reuse degrades, results don't.
@@ -1009,7 +1038,7 @@ Status BatchHashJoinOp::ProbeRange(const BatchChunk& probe, size_t begin,
   local->cpu_cost +=
       CostWeights::kHashProbeRow * static_cast<double>(end - begin);
   // Pass 1: collect match candidates per probe row, in build-chain order
-  // (newest-first among equal hashes = the row engine's emission order).
+  // (newest-first among equal hashes = the specified emission order).
   std::vector<uint32_t> cand_left;
   std::vector<uint32_t> cand_right;
   std::vector<uint32_t> cand_count(end - begin, 0);
@@ -1206,7 +1235,7 @@ Status BatchMergeJoinOp::Open() {
     rk.push_back(r);
   }
   // Argsort each side by its own keys (stable — ties keep input order,
-  // exactly MergeJoinOp's std::stable_sort over rows).
+  // exactly a std::stable_sort over rows).
   auto sort_side = [](const BatchChunk& chunk, const std::vector<int>& keys) {
     std::vector<uint32_t> order(chunk.num_rows);
     for (size_t i = 0; i < order.size(); ++i) {
@@ -1247,8 +1276,8 @@ Status BatchMergeJoinOp::Open() {
   };
 
   // The merge loop, over sorted index vectors. Candidates are gathered
-  // first so the residual can evaluate vectorized; `units` replays the row
-  // engine's per-event kMergeRow charges.
+  // first so the residual can evaluate vectorized; `units` replays the
+  // per-event kMergeRow charges of a row-at-a-time merge.
   struct Event {
     uint32_t left_row = 0;
     uint32_t cand_begin = 0;
@@ -1400,7 +1429,7 @@ Status BatchLoopJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
     }
     const size_t n = input.num_rows;
     const size_t rn = right_chunk_.num_rows;
-    // Every (left, right) pair is scanned — the row engine never exits the
+    // Every (left, right) pair is scanned — the nested loop never exits the
     // inner loop early.
     AddCost(CostWeights::kLoopJoinPair * static_cast<double>(n) *
             static_cast<double>(rn));
@@ -1529,7 +1558,7 @@ void BatchUnionAllOp::Close() {
 
 namespace {
 
-// Mirror of the row builder's Fusable: row-preserving, stateless per row,
+// Operators a scan pipeline can absorb: row-preserving, stateless per row,
 // deterministic. Non-deterministic UDOs are excluded — their keep/drop
 // decision depends on global row arrival order.
 bool BatchFusable(const LogicalOp& node) {
@@ -1544,14 +1573,13 @@ bool BatchFusable(const LogicalOp& node) {
   }
 }
 
-// The columnar mirror of PhysicalBuilder: identical fusion and
-// parallelization decisions (and identical error messages), except that
-// scan-rooted fusable chains always become a BatchScanPipelineOp — streaming
-// at dop=1 or under a Limit, eager morsel-parallel otherwise.
+// Builds the batch operator tree. Scan-rooted fusable chains always become a
+// BatchScanPipelineOp — streaming at dop=1 or under a Limit, eager
+// morsel-parallel otherwise.
 class BatchBuilder {
  public:
   BatchBuilder(const ExecContext* context, ParallelRuntime runtime,
-               size_t batch_rows, std::vector<PhysicalOp*>* registry)
+               size_t batch_rows, std::vector<BatchOp*>* registry)
       : context_(context), runtime_(runtime),
         batch_rows_(batch_rows > 0 ? batch_rows : 1), registry_(registry) {}
 
@@ -1700,16 +1728,16 @@ class BatchBuilder {
   const ExecContext* context_;
   ParallelRuntime runtime_;
   size_t batch_rows_;
-  std::vector<PhysicalOp*>* registry_;
+  std::vector<BatchOp*>* registry_;
 };
 
 }  // namespace
 
 Result<BatchOpPtr> BuildBatchPlan(const ExecContext& context,
                                   const ParallelRuntime& runtime,
-                                  size_t batch_rows, const LogicalOpPtr& plan,
-                                  std::vector<PhysicalOp*>* registry) {
-  BatchBuilder builder(&context, runtime, batch_rows, registry);
+                                  const LogicalOpPtr& plan,
+                                  std::vector<BatchOp*>* registry) {
+  BatchBuilder builder(&context, runtime, context.batch_rows, registry);
   return builder.Build(plan, /*pipeline_ok=*/true);
 }
 

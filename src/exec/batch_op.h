@@ -7,9 +7,8 @@
 #include <memory>
 #include <vector>
 
+#include "common/exec_stats.h"
 #include "common/status.h"
-#include "exec/executor.h"
-#include "exec/physical_op.h"
 #include "exec/pooled_hash.h"
 #include "plan/logical_plan.h"
 #include "storage/column.h"
@@ -17,25 +16,91 @@
 
 namespace cloudviews {
 
-// Vectorized (columnar batch-at-a-time) physical operators. The batch engine
-// is the default execution path; the row operators in physical_op.h remain as
-// the byte-identity reference (ExecEngine::kRow). Every operator here
-// replicates its row counterpart's output — values, types, null-ness, row
-// order — exactly, at any DOP and any batch size, and keeps the same
-// OperatorStats accounting (integer counters exactly; floating-point cost to
-// accumulation-order rounding).
+class ThreadPool;
+struct ExecContext;
+
+// Vectorized (columnar batch-at-a-time) physical operators: the one
+// execution engine. Every operator keeps row-at-a-time semantics — values,
+// types, null-ness, row order — exactly, at any DOP and any batch size, and
+// the same OperatorStats accounting (integer counters exactly;
+// floating-point cost to accumulation-order rounding). The specification is
+// the serial reference interpreter in tests/reference_exec, which the
+// differential tests diff every operator against.
+
+// Morsel-parallel execution parameters, resolved from the ExecContext and
+// handed to operators that can use them. dop <= 1 (or a null pool) means
+// serial execution.
+struct ParallelRuntime {
+  ThreadPool* pool = nullptr;
+  int dop = 1;
+  size_t morsel_rows = 4096;
+
+  bool Enabled() const { return pool != nullptr && dop > 1; }
+};
+
+// ParallelFor over [0, n) in `grain`-row morsels on runtime's pool, also
+// recording the morsel count and summed per-morsel busy wall time into
+// *stats (the telemetry the cluster simulator consumes).
+Status TimedParallelFor(const ParallelRuntime& runtime, size_t n, size_t grain,
+                        const std::function<Status(size_t morsel, size_t begin,
+                                                   size_t end)>& fn,
+                        OperatorStats* stats);
+
+// Fired once when a spool finishes materializing its subexpression, with
+// the side table and the spool child's stats — the early-sealing hook.
+using SpoolCompletionFn =
+    std::function<void(const LogicalOp& spool, TablePtr contents,
+                       const OperatorStats& child_stats)>;
+// Fired (instead of the completion callback, still exactly once) when the
+// spool's write path failed mid-materialization: the view manager must
+// withdraw the materializing entry and release the creation lock so another
+// job can retry. The query itself keeps streaming — a failed spool degrades
+// to a pass-through, never a failed job.
+using SpoolAbortFn =
+    std::function<void(const LogicalOp& spool, const Status& cause)>;
 
 // Pull-based batch operator: Open() once, NextBatch() until *done, Close().
 // Batches are dense (no selection vectors across operator boundaries) and
 // hold 1..batch_rows rows; zero-row batches may appear and consumers must
-// tolerate them. The row-granularity Next() inherited from PhysicalOp is a
-// wiring error by construction.
-class BatchOp : public PhysicalOp {
+// tolerate them. The Open/NextBatch/Close driver runs on a single thread;
+// operators may fan internal work out to a ParallelRuntime during Open, but
+// every morsel task is joined before Open returns.
+class BatchOp {
  public:
-  using PhysicalOp::PhysicalOp;
+  explicit BatchOp(const LogicalOp* logical) : logical_(logical) {}
+  virtual ~BatchOp() = default;
 
-  Status Next(Row* row, bool* done) final;
+  BatchOp(const BatchOp&) = delete;
+  BatchOp& operator=(const BatchOp&) = delete;
+
+  virtual Status Open() = 0;
   virtual Status NextBatch(ColumnBatch* batch, bool* done) = 0;
+  virtual void Close() {}
+
+  const LogicalOp* logical() const { return logical_; }
+  const OperatorStats& stats() const { return stats_; }
+
+  // Reports (logical node, stats) pairs for every logical operator this
+  // physical operator implements. Fused operators (the scan pipeline)
+  // implement several logical nodes at once and override this.
+  virtual void ExportStats(
+      const std::function<void(const LogicalOp*, const OperatorStats&)>& fn)
+      const {
+    fn(logical_, stats_);
+  }
+
+ protected:
+  void AddCost(double cpu_cost) { stats_.cpu_cost += cpu_cost; }
+  void MergeStats(const OperatorStats& other) {
+    stats_.rows_out += other.rows_out;
+    stats_.bytes_out += other.bytes_out;
+    stats_.cpu_cost += other.cpu_cost;
+    stats_.morsels += other.morsels;
+    stats_.busy_seconds += other.busy_seconds;
+  }
+
+  const LogicalOp* logical_;
+  OperatorStats stats_;
 };
 
 using BatchOpPtr = std::unique_ptr<BatchOp>;
@@ -46,25 +111,16 @@ struct BatchChunk {
   size_t num_rows = 0;
 };
 
-// Drains `child` to completion, collecting its batches.
-Status DrainBatches(BatchOp* child, std::vector<ColumnBatch>* out);
+// Concatenates drained batches (all of one arity) into one chunk.
+void ConcatToChunk(const std::vector<ColumnBatch>& batches, BatchChunk* chunk);
 
-// Drains `child` and concatenates the batches into one chunk.
-Status DrainToChunk(BatchOp* child, BatchChunk* chunk);
-
-// Resolves a scan leaf to its backing table, enforcing GUID version pinning
-// (shared by the row and batch plan builders).
-Result<TablePtr> BindScanTable(const ExecContext& context,
-                               const LogicalOp& node, bool* is_view_scan);
-
-// Builds the batch operator tree for `plan`, registering every operator in
-// `registry` for stats harvesting and verifier bracketing — the columnar
-// mirror of the row engine's PhysicalBuilder, with identical fusion and
-// parallelization decisions.
+// Builds the batch operator tree for `plan` (context.batch_rows-row
+// batches), registering every operator in `registry` for stats harvesting
+// and verifier bracketing. Its one caller is RunBatchPlan (exec/executor.h).
 Result<BatchOpPtr> BuildBatchPlan(const ExecContext& context,
                                   const ParallelRuntime& runtime,
-                                  size_t batch_rows, const LogicalOpPtr& plan,
-                                  std::vector<PhysicalOp*>* registry);
+                                  const LogicalOpPtr& plan,
+                                  std::vector<BatchOp*>* registry);
 
 // --- Leaf / fused pipeline --------------------------------------------------
 
@@ -73,13 +129,13 @@ Result<BatchOpPtr> BuildBatchPlan(const ExecContext& context,
 // modes:
 //  - streaming (serial): each NextBatch() processes the next batch_rows-row
 //    slice of the table through every stage — used at dop=1 and under a
-//    Limit, where eager materialization would do work a serial row engine
-//    never performs;
+//    Limit, where eager materialization would do work a serial run never
+//    performs;
 //  - eager (parallel): Open() splits the table into morsel_rows-row morsels
 //    processed concurrently via TimedParallelFor, and NextBatch() hands out
 //    the per-morsel outputs in morsel order (DOP-invariant).
-// Per-stage stats replicate the discrete row operators; morsel telemetry is
-// attributed to the chain's top stage, as in MorselPipelineOp.
+// Per-stage stats match what each stage would count as a discrete operator;
+// morsel telemetry is attributed to the chain's top stage only.
 class BatchScanPipelineOp : public BatchOp {
  public:
   // `chain` lists the fused logical nodes from the scan upward (the last
@@ -161,10 +217,10 @@ class BatchLimitOp : public BatchOp {
   int64_t produced_ = 0;
 };
 
-// Vectorized UDO filter: same per-row (seed, row content[, arrival counter])
-// keep/drop hash as UdoOp, evaluated batch-at-a-time. Rows arrive in global
-// input order (batches stream in morsel order), so the non-deterministic
-// counter sequence matches the row engine exactly.
+// Vectorized UDO filter: a per-row (seed, row content[, arrival counter])
+// keep/drop hash, evaluated batch-at-a-time. Rows arrive in global input
+// order (batches stream in morsel order), so the non-deterministic arrival
+// counter numbers rows exactly as a serial row-at-a-time run would.
 class BatchUdoOp : public BatchOp {
  public:
   BatchUdoOp(const LogicalOp* logical, BatchOpPtr child,
@@ -181,8 +237,8 @@ class BatchUdoOp : public BatchOp {
 };
 
 // Materializing sort: drains the child into one chunk, argsorts row indices
-// (stable, per-key CompareCells honoring ascending flags — exactly SortOp's
-// comparator), gathers once, and emits batch_rows-row slices.
+// (stable, per-key CompareCells honoring ascending flags — Value::Compare
+// order), gathers once, and emits batch_rows-row slices.
 class BatchSortOp : public BatchOp {
  public:
   BatchSortOp(const LogicalOp* logical, BatchOpPtr child, size_t batch_rows);
@@ -202,8 +258,8 @@ class BatchSortOp : public BatchOp {
 // and aggregate arguments are evaluated vectorized over the whole input
 // chunk; rows then accumulate into their groups in global input order (so
 // floating-point sums and DISTINCT discovery order match serial row
-// execution bit for bit), and groups are emitted sorted by key — the same
-// deterministic order HashAggregateOp::SortOutput produces.
+// execution bit for bit), and groups are emitted sorted by key (a total
+// order: distinct groups always differ on some key column under Compare).
 class BatchAggregateOp : public BatchOp {
  public:
   BatchAggregateOp(const LogicalOp* logical, BatchOpPtr child,
@@ -239,32 +295,45 @@ class BatchAggregateOp : public BatchOp {
   size_t pos_ = 0;
 };
 
-// Columnar spool: streams batches through while appending them column-wise
-// to the side table, with the same per-row exec.spool.write fault-injection
-// sites, abort semantics, byte/cost accounting, and exactly-once completion
-// latch as the row SpoolOp.
-class BatchSpoolOp : public BatchOp, public SpoolOpIface {
+// Dual-consumer spool: streams batches through to the parent while
+// appending them column-wise to a side table. When the stream completes it
+// invokes `on_complete` with the materialized contents — the hook the view
+// manager uses to seal the CloudView (early sealing happens here, before
+// the whole job ends). Each spooled row is one exec.spool.write fault check;
+// a failed write aborts materialization (side table dropped, rows still
+// pass through) and routes the exactly-once completion latch to `on_abort`.
+class BatchSpoolOp : public BatchOp {
  public:
   BatchSpoolOp(const LogicalOp* logical, BatchOpPtr child,
-               SpoolOp::CompletionFn on_complete,
-               SpoolOp::AbortFn on_abort = nullptr);
+               SpoolCompletionFn on_complete,
+               SpoolAbortFn on_abort = nullptr);
 
   Status Open() override;
   Status NextBatch(ColumnBatch* batch, bool* done) override;
   void Close() override;
 
-  uint64_t bytes_spooled() const override { return bytes_spooled_; }
-  double spool_cpu_cost() const override { return spool_cpu_cost_; }
-  bool aborted() const override { return aborted_; }
-  uint32_t completion_fires() const override {
+  uint64_t bytes_spooled() const { return bytes_spooled_; }
+  double spool_cpu_cost() const { return spool_cpu_cost_; }
+  // True once a write fault aborted materialization.
+  bool aborted() const { return aborted_; }
+  // How many times the completion latch actually fired. The exchange makes
+  // >1 impossible by construction; the PhysicalVerifier checks ==1 after a
+  // successful run (0 means the spool was never drained — the view would
+  // silently never seal). An aborted spool still fires the latch exactly
+  // once, routed to `on_abort` instead of `on_complete`.
+  uint32_t completion_fires() const {
     return completion_fires_.load(std::memory_order_acquire);
   }
-  uint64_t sealed_rows() const override { return sealed_rows_; }
+  // Row count of the side table handed to the completion callback (valid
+  // once the latch fired without an abort). The PhysicalVerifier checks it
+  // against the spool's own rows_out: a sealed view must record exactly the
+  // rows the scan streamed. Virtual so verifier tests can forge a mismatch.
+  virtual uint64_t sealed_rows() const { return sealed_rows_; }
 
  private:
   BatchOpPtr child_;
-  SpoolOp::CompletionFn on_complete_;
-  SpoolOp::AbortFn on_abort_;
+  SpoolCompletionFn on_complete_;
+  SpoolAbortFn on_abort_;
   std::shared_ptr<Table> side_table_;
   uint64_t bytes_spooled_ = 0;
   uint64_t sealed_rows_ = 0;
@@ -282,9 +351,9 @@ class BatchSpoolOp : public BatchOp, public SpoolOpIface {
 // --- Binary operators -------------------------------------------------------
 
 // Vectorized hash join over a PooledHashTable. The build side is inserted in
-// global input order with head-inserted chains, which reproduces the row
-// engine's unordered_multimap equal_range iteration (newest-first among
-// equal keys) — so match emission order is byte-identical. The probe side
+// global input order with head-inserted chains, so matches are emitted
+// newest-first among equal keys (the emission order tests/reference_exec
+// specifies) at any partition count. The probe side
 // streams batch-at-a-time (serial / under a Limit) or is drained and probed
 // in morsels emitted in morsel order (parallel).
 class BatchHashJoinOp : public BatchOp {
@@ -315,8 +384,8 @@ class BatchHashJoinOp : public BatchOp {
   std::vector<int> left_keys_;
   std::vector<int> right_keys_;
   BatchChunk build_;
-  // Hash-partitioned build tables (hash % partition count selects one), as in
-  // the row engine: a single partition when serial, `dop` when parallel.
+  // Hash-partitioned build tables (hash % partition count selects one): a
+  // single partition when serial, `dop` when parallel.
   std::vector<PooledHashTable> partitions_;
   size_t right_arity_ = 0;
   bool parallel_probe_ = false;

@@ -1,10 +1,10 @@
 #include "exec/executor.h"
 
 #include <chrono>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "exec/batch_op.h"
 #include "exec/physical_verifier.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -15,195 +15,6 @@
 namespace cloudviews {
 
 namespace {
-
-// True for operators a morsel pipeline can absorb: row-preserving, stateless
-// per row, and deterministic. Non-deterministic UDOs are excluded — their
-// keep/drop decision depends on global row arrival order.
-bool Fusable(const LogicalOp& node) {
-  switch (node.kind) {
-    case LogicalOpKind::kFilter:
-    case LogicalOpKind::kProject:
-      return true;
-    case LogicalOpKind::kUdo:
-      return node.udo_deterministic;
-    default:
-      return false;
-  }
-}
-
-// Builds the physical tree, registering every operator in `registry` so
-// statistics can be harvested after the run.
-class PhysicalBuilder {
- public:
-  PhysicalBuilder(const ExecContext* context, ParallelRuntime runtime,
-                  std::vector<PhysicalOp*>* registry)
-      : context_(context), runtime_(runtime), registry_(registry) {}
-
-  // `pipeline_ok` is false while an ancestor (a Limit with no intervening
-  // fully-materializing operator) may stop pulling early: materializing
-  // parallel strategies would then do — and count — work a serial run never
-  // performs, so those subtrees stay streaming and serial.
-  Result<PhysicalOpPtr> Build(const LogicalOpPtr& node, bool pipeline_ok) {
-    auto op = BuildNode(node, pipeline_ok);
-    if (op.ok()) registry_->push_back(op.value().get());
-    return op;
-  }
-
- private:
-  // Resolves a scan leaf to its backing table, enforcing version pinning
-  // (shared with the batch builder so both engines bind — and fail —
-  // identically).
-  Result<TablePtr> BindScan(const LogicalOp& node, bool* is_view_scan) {
-    return BindScanTable(*context_, node, is_view_scan);
-  }
-
-  // Fuses the maximal {Filter|Project|deterministic Udo}* chain over a
-  // Scan/ViewScan rooted at `node` into a morsel pipeline. Returns null (not
-  // an error) when `node` does not root such a chain.
-  Result<PhysicalOpPtr> TryBuildPipeline(const LogicalOpPtr& node) {
-    const LogicalOp* cur = node.get();
-    std::vector<const LogicalOp*> top_down;
-    while (Fusable(*cur)) {
-      top_down.push_back(cur);
-      cur = cur->children[0].get();
-    }
-    if (cur->kind != LogicalOpKind::kScan &&
-        cur->kind != LogicalOpKind::kViewScan) {
-      return PhysicalOpPtr();
-    }
-    bool is_view_scan = false;
-    auto table = BindScan(*cur, &is_view_scan);
-    if (!table.ok()) return table.status();
-    std::vector<const LogicalOp*> chain;
-    chain.reserve(top_down.size() + 1);
-    chain.push_back(cur);
-    for (auto it = top_down.rbegin(); it != top_down.rend(); ++it) {
-      chain.push_back(*it);
-    }
-    return PhysicalOpPtr(std::make_unique<MorselPipelineOp>(
-        node.get(), std::move(chain), std::move(table).value(), is_view_scan,
-        runtime_));
-  }
-
-  Result<PhysicalOpPtr> BuildNode(const LogicalOpPtr& node, bool pipeline_ok) {
-    if (runtime_.Enabled() && pipeline_ok) {
-      auto pipeline = TryBuildPipeline(node);
-      if (!pipeline.ok()) return pipeline.status();
-      if (*pipeline != nullptr) return pipeline;
-    }
-    switch (node->kind) {
-      case LogicalOpKind::kScan:
-      case LogicalOpKind::kViewScan: {
-        bool is_view_scan = false;
-        auto table = BindScan(*node, &is_view_scan);
-        if (!table.ok()) return table.status();
-        return PhysicalOpPtr(std::make_unique<TableScanOp>(
-            node.get(), std::move(table).value(), is_view_scan));
-      }
-      case LogicalOpKind::kFilter: {
-        auto child = Build(node->children[0], pipeline_ok);
-        if (!child.ok()) return child.status();
-        return PhysicalOpPtr(
-            std::make_unique<FilterOp>(node.get(), std::move(child).value()));
-      }
-      case LogicalOpKind::kProject: {
-        auto child = Build(node->children[0], pipeline_ok);
-        if (!child.ok()) return child.status();
-        return PhysicalOpPtr(
-            std::make_unique<ProjectOp>(node.get(), std::move(child).value()));
-      }
-      case LogicalOpKind::kJoin: {
-        // The build (right) side is fully drained no matter what sits above
-        // the join, so it may always pipeline; the probe (left) side streams
-        // and inherits the ancestor constraint.
-        auto left = Build(node->children[0], pipeline_ok);
-        if (!left.ok()) return left.status();
-        auto right = Build(node->children[1], /*pipeline_ok=*/true);
-        if (!right.ok()) return right.status();
-        switch (node->join_algorithm) {
-          case JoinAlgorithm::kHash: {
-            if (node->equi_keys.empty()) {
-              return Status::InvalidArgument(
-                  "hash join requires at least one equi key");
-            }
-            auto join = std::make_unique<HashJoinOp>(
-                node.get(), std::move(left).value(), std::move(right).value());
-            if (runtime_.Enabled()) {
-              join->set_parallel(runtime_, /*probe_ok=*/pipeline_ok);
-            }
-            return PhysicalOpPtr(std::move(join));
-          }
-          case JoinAlgorithm::kMerge:
-            if (node->equi_keys.empty()) {
-              return Status::InvalidArgument(
-                  "merge join requires at least one equi key");
-            }
-            return PhysicalOpPtr(std::make_unique<MergeJoinOp>(
-                node.get(), std::move(left).value(),
-                std::move(right).value()));
-          case JoinAlgorithm::kLoop:
-            return PhysicalOpPtr(std::make_unique<LoopJoinOp>(
-                node.get(), std::move(left).value(),
-                std::move(right).value()));
-        }
-        return Status::Internal("unknown join algorithm");
-      }
-      case LogicalOpKind::kAggregate: {
-        // Aggregation drains its child completely regardless of ancestors.
-        auto child = Build(node->children[0], /*pipeline_ok=*/true);
-        if (!child.ok()) return child.status();
-        auto agg = std::make_unique<HashAggregateOp>(node.get(),
-                                                     std::move(child).value());
-        if (runtime_.Enabled()) agg->set_parallel(runtime_);
-        return PhysicalOpPtr(std::move(agg));
-      }
-      case LogicalOpKind::kSort: {
-        auto child = Build(node->children[0], /*pipeline_ok=*/true);
-        if (!child.ok()) return child.status();
-        return PhysicalOpPtr(
-            std::make_unique<SortOp>(node.get(), std::move(child).value()));
-      }
-      case LogicalOpKind::kLimit: {
-        auto child = Build(node->children[0], /*pipeline_ok=*/false);
-        if (!child.ok()) return child.status();
-        return PhysicalOpPtr(
-            std::make_unique<LimitOp>(node.get(), std::move(child).value()));
-      }
-      case LogicalOpKind::kUnionAll: {
-        std::vector<PhysicalOpPtr> children;
-        for (const LogicalOpPtr& child : node->children) {
-          auto built = Build(child, pipeline_ok);
-          if (!built.ok()) return built.status();
-          children.push_back(std::move(built).value());
-        }
-        return PhysicalOpPtr(
-            std::make_unique<UnionAllOp>(node.get(), std::move(children)));
-      }
-      case LogicalOpKind::kUdo: {
-        auto child = Build(node->children[0], pipeline_ok);
-        if (!child.ok()) return child.status();
-        return PhysicalOpPtr(std::make_unique<UdoOp>(
-            node.get(), std::move(child).value(), context_->job_seed));
-      }
-      case LogicalOpKind::kSpool: {
-        auto child = Build(node->children[0], pipeline_ok);
-        if (!child.ok()) return child.status();
-        return PhysicalOpPtr(std::make_unique<SpoolOp>(
-            node.get(), std::move(child).value(),
-            context_->on_spool_complete, context_->on_spool_abort));
-      }
-      case LogicalOpKind::kSharedScan:
-        // The sharing rewrite only runs for columnar windows; a SharedScan
-        // reaching the row builder is a wiring error, not a fallback case.
-        return Status::Internal("shared scan requires the columnar engine");
-    }
-    return Status::Internal("unhandled logical operator kind");
-  }
-
-  const ExecContext* context_;
-  ParallelRuntime runtime_;
-  std::vector<PhysicalOp*>* registry_;
-};
 
 bool IsExchangeBoundary(LogicalOpKind kind) {
   switch (kind) {
@@ -217,48 +28,106 @@ bool IsExchangeBoundary(LogicalOpKind kind) {
   }
 }
 
-}  // namespace
-
-Result<ExecResult> Executor::Execute(const LogicalOpPtr& plan) const {
-  obs::Span exec_span("execute", "exec");
-  ParallelRuntime runtime;
-  runtime.dop = context_.dop > 0 ? context_.dop : ThreadPool::DefaultDop();
-  runtime.morsel_rows = context_.morsel_rows > 0 ? context_.morsel_rows : 1;
-  if (runtime.dop > 1) {
-    runtime.pool =
-        context_.pool != nullptr ? context_.pool : &ThreadPool::Shared();
-  }
-  exec_span.Arg("dop", static_cast<int64_t>(runtime.dop));
-
-  if constexpr (verify::RuntimeChecksEnabled()) {
-    // Fail before building anything: the executor trusts plan shape (child
-    // arities, schema contracts) everywhere below.
-    verify::PlanVerifyOptions options;
-    options.catalog = context_.catalog;
-    CLOUDVIEWS_RETURN_NOT_OK(verify::PlanVerifier(options).Verify(*plan));
-  }
-
-  std::vector<PhysicalOp*> registry;
-  const bool columnar = context_.engine == ExecEngine::kColumnar;
-  PhysicalOpPtr row_root;
-  BatchOpPtr batch_root;
-  {
-    obs::Span span("build-physical", "exec");
-    if (columnar) {
-      auto built = BuildBatchPlan(context_, runtime, context_.batch_rows,
-                                  plan, &registry);
-      if (!built.ok()) return built.status();
-      batch_root = std::move(built).value();
-    } else {
-      PhysicalBuilder builder(&context_, runtime, &registry);
-      auto built = builder.Build(plan, /*pipeline_ok=*/true);
-      if (!built.ok()) return built.status();
-      row_root = std::move(built).value();
+// Folds every registered operator's stats into *stats, in build order. A
+// fused operator reports one (node, stats) pair per logical node it
+// implements, so per-node accounting is DOP-invariant.
+void HarvestStats(const std::vector<BatchOp*>& registry,
+                  ExecutionStats* stats) {
+  for (BatchOp* op : registry) {
+    op->ExportStats([&](const LogicalOp* node, const OperatorStats& op_stats) {
+      stats->per_node[node] = op_stats;
+      stats->total_cpu_cost += op_stats.cpu_cost;
+      stats->num_operators += 1;
+      stats->morsels += op_stats.morsels;
+      stats->morsel_busy_seconds += op_stats.busy_seconds;
+      switch (node->kind) {
+        case LogicalOpKind::kScan:
+          stats->input_rows += op_stats.rows_out;
+          stats->input_bytes += op_stats.bytes_out;
+          stats->total_bytes_read += op_stats.bytes_out;
+          break;
+        case LogicalOpKind::kViewScan:
+          stats->view_rows += op_stats.rows_out;
+          stats->view_bytes += op_stats.bytes_out;
+          stats->total_bytes_read += op_stats.bytes_out;
+          break;
+        case LogicalOpKind::kSharedScan:
+          // Forwarded batches are charged like view reads: the producer's
+          // compute lands on the producer pipeline, not the subscriber.
+          stats->view_rows += op_stats.rows_out;
+          stats->view_bytes += op_stats.bytes_out;
+          stats->total_bytes_read += op_stats.bytes_out;
+          break;
+        default:
+          // Exchange boundaries persist intermediate outputs to the local
+          // store; their outputs are re-read by the next stage.
+          if (IsExchangeBoundary(node->kind)) {
+            stats->total_bytes_read += op_stats.bytes_out;
+          }
+          break;
+      }
+    });
+    if (auto* spool = dynamic_cast<BatchSpoolOp*>(op)) {
+      stats->bytes_spooled += spool->bytes_spooled();
+      stats->spool_cpu_cost += spool->spool_cpu_cost();
     }
   }
-  PhysicalOp* root = columnar ? static_cast<PhysicalOp*>(batch_root.get())
-                              : row_root.get();
+}
 
+ParallelRuntime ResolveRuntime(const ExecContext& context) {
+  ParallelRuntime runtime;
+  runtime.dop = context.dop > 0 ? context.dop : ThreadPool::DefaultDop();
+  runtime.morsel_rows = context.morsel_rows > 0 ? context.morsel_rows : 1;
+  if (runtime.dop > 1) {
+    runtime.pool =
+        context.pool != nullptr ? context.pool : &ThreadPool::Shared();
+  }
+  return runtime;
+}
+
+}  // namespace
+
+Result<TablePtr> BindScanTable(const ExecContext& context,
+                               const LogicalOp& node, bool* is_view_scan) {
+  if (node.kind == LogicalOpKind::kScan) {
+    *is_view_scan = false;
+    if (context.catalog == nullptr) {
+      return Status::Internal("executor has no dataset catalog");
+    }
+    auto dataset = context.catalog->Lookup(node.dataset_name);
+    if (!dataset.ok()) return dataset.status();
+    if (!node.dataset_guid.empty() && dataset->guid != node.dataset_guid) {
+      return Status::Aborted("dataset " + node.dataset_name +
+                             " changed version since compilation (bound " +
+                             node.dataset_guid + ", current " + dataset->guid +
+                             ")");
+    }
+    return dataset->table;
+  }
+  *is_view_scan = true;
+  if (context.view_store == nullptr) {
+    return Status::Internal("plan reads a view but no view store set");
+  }
+  const MaterializedView* view =
+      context.view_store->Find(node.view_signature, context.now);
+  if (view == nullptr || view->table == nullptr) {
+    return Status::Aborted("materialized view vanished: " +
+                           node.view_signature.ToHex());
+  }
+  return view->table;
+}
+
+Status RunBatchPlan(const ExecContext& context, const LogicalOpPtr& plan,
+                    const BatchSink& sink, ExecutionStats* stats) {
+  const ParallelRuntime runtime = ResolveRuntime(context);
+  std::vector<BatchOp*> registry;
+  BatchOpPtr root;
+  {
+    obs::Span span("build-physical", "exec");
+    auto built = BuildBatchPlan(context, runtime, plan, &registry);
+    if (!built.ok()) return built.status();
+    root = std::move(built).value();
+  }
   if constexpr (verify::RuntimeChecksEnabled()) {
     CLOUDVIEWS_RETURN_NOT_OK(verify::PhysicalVerifier::VerifyWiring(
         *plan, registry, runtime.dop, runtime.morsel_rows));
@@ -269,90 +138,59 @@ Result<ExecResult> Executor::Execute(const LogicalOpPtr& plan) const {
     obs::Span span("open-operators", "exec");
     CLOUDVIEWS_RETURN_NOT_OK(root->Open());
   }
-  auto output = std::make_shared<Table>("result", plan->output_schema);
+  Status drain;
   {
     obs::Span span("drain-output", "exec");
-    if (columnar) {
-      while (true) {
-        ColumnBatch batch;
-        bool done = false;
-        CLOUDVIEWS_RETURN_NOT_OK(batch_root->NextBatch(&batch, &done));
-        if (done) break;
-        if constexpr (verify::RuntimeChecksEnabled()) {
-          CLOUDVIEWS_RETURN_NOT_OK(
-              verify::PhysicalVerifier::VerifyBatch(*plan, batch));
-        }
-        if (batch.num_rows == 0) continue;
-        CLOUDVIEWS_RETURN_NOT_OK(output->AppendBatch(batch));
+    while (true) {
+      ColumnBatch batch;
+      bool done = false;
+      drain = root->NextBatch(&batch, &done);
+      if (!drain.ok() || done) break;
+      if constexpr (verify::RuntimeChecksEnabled()) {
+        drain = verify::PhysicalVerifier::VerifyBatch(*plan, batch);
+        if (!drain.ok()) break;
       }
-    } else {
-      while (true) {
-        Row row;
-        bool done = false;
-        CLOUDVIEWS_RETURN_NOT_OK(root->Next(&row, &done));
-        if (done) break;
-        CLOUDVIEWS_RETURN_NOT_OK(output->Append(std::move(row)));
-      }
+      if (batch.num_rows == 0) continue;
+      drain = sink(std::move(batch));
+      if (!drain.ok()) break;
     }
   }
   root->Close();
+  CLOUDVIEWS_RETURN_NOT_OK(drain);
   if constexpr (verify::RuntimeChecksEnabled()) {
     // The run completed: spool sealing must have fired exactly once per
     // spool, and per-operator row counts must respect operator contracts.
     CLOUDVIEWS_RETURN_NOT_OK(
         verify::PhysicalVerifier::VerifyPostRun(*plan, registry));
   }
-  double wall_seconds =
+  stats->wall_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
+  stats->dop = runtime.dop;
+  HarvestStats(registry, stats);
+  return Status::OK();
+}
 
+Result<ExecResult> Executor::Execute(const LogicalOpPtr& plan) const {
+  obs::Span exec_span("execute", "exec");
+  if constexpr (verify::RuntimeChecksEnabled()) {
+    // Fail before building anything: the executor trusts plan shape (child
+    // arities, schema contracts) everywhere below.
+    verify::PlanVerifyOptions options;
+    options.catalog = context_.catalog;
+    CLOUDVIEWS_RETURN_NOT_OK(verify::PlanVerifier(options).Verify(*plan));
+  }
+
+  auto output = std::make_shared<Table>("result", plan->output_schema);
   ExecResult result;
   result.output = output;
   ExecutionStats& stats = result.stats;
-  stats.dop = runtime.dop;
-  stats.wall_seconds = wall_seconds;
-  for (PhysicalOp* op : registry) {
-    // A fused operator reports one (node, stats) pair per logical node it
-    // implements, so per-node accounting is DOP-invariant.
-    op->ExportStats([&](const LogicalOp* node, const OperatorStats& op_stats) {
-      stats.per_node[node] = op_stats;
-      stats.total_cpu_cost += op_stats.cpu_cost;
-      stats.num_operators += 1;
-      stats.morsels += op_stats.morsels;
-      stats.morsel_busy_seconds += op_stats.busy_seconds;
-      switch (node->kind) {
-        case LogicalOpKind::kScan:
-          stats.input_rows += op_stats.rows_out;
-          stats.input_bytes += op_stats.bytes_out;
-          stats.total_bytes_read += op_stats.bytes_out;
-          break;
-        case LogicalOpKind::kViewScan:
-          stats.view_rows += op_stats.rows_out;
-          stats.view_bytes += op_stats.bytes_out;
-          stats.total_bytes_read += op_stats.bytes_out;
-          break;
-        case LogicalOpKind::kSharedScan:
-          // Forwarded batches are charged like view reads: the producer's
-          // compute lands on the producer pipeline, not the subscriber.
-          stats.view_rows += op_stats.rows_out;
-          stats.view_bytes += op_stats.bytes_out;
-          stats.total_bytes_read += op_stats.bytes_out;
-          break;
-        default:
-          // Exchange boundaries persist intermediate outputs to the local
-          // store; their outputs are re-read by the next stage.
-          if (IsExchangeBoundary(node->kind)) {
-            stats.total_bytes_read += op_stats.bytes_out;
-          }
-          break;
-      }
-    });
-    if (auto* spool = dynamic_cast<SpoolOpIface*>(op)) {
-      stats.bytes_spooled += spool->bytes_spooled();
-      stats.spool_cpu_cost += spool->spool_cpu_cost();
-    }
-  }
+  CLOUDVIEWS_RETURN_NOT_OK(RunBatchPlan(
+      context_, plan,
+      [&output](ColumnBatch batch) { return output->AppendBatch(batch); },
+      &stats));
+  exec_span.Arg("dop", static_cast<int64_t>(stats.dop));
 
   // Process-wide roll-up (one sharded-atomic add per metric per query).
   static obs::Counter& queries =

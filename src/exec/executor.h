@@ -7,7 +7,7 @@
 
 #include "common/exec_stats.h"
 #include "common/status.h"
-#include "exec/physical_op.h"
+#include "exec/batch_op.h"
 #include "plan/logical_plan.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
@@ -20,16 +20,6 @@ class ThreadPool;
 namespace sharing {
 class StreamDirectory;
 }  // namespace sharing
-
-// Which physical engine Execute() builds. kColumnar (the default) runs the
-// vectorized batch operators in exec/batch_op.h; kRow runs the original
-// row-at-a-time operators and is kept as the byte-identity reference — the
-// two produce identical output tables (values, types, null-ness, row order)
-// for every plan at every dop and batch size.
-enum class ExecEngine {
-  kColumnar,
-  kRow,
-};
 
 // Everything an executing job can touch.
 //
@@ -46,21 +36,20 @@ struct ExecContext {
   const ViewStore* view_store = nullptr;
   // Called when a spool finishes materializing its subexpression (the early
   // sealing hook). May be null.
-  SpoolOp::CompletionFn on_spool_complete;
+  SpoolCompletionFn on_spool_complete;
   // Called when a spool aborts materialization after a write fault (the
   // failure-hardening hook: withdraw the materializing view entry and
   // release the creation lock). May be null. Fired from the driver thread,
   // exactly once per aborted spool, instead of `on_spool_complete`.
-  SpoolOp::AbortFn on_spool_abort;
+  SpoolAbortFn on_spool_abort;
   // Seed for non-deterministic UDO instances (jobs differ run to run).
   uint64_t job_seed = 0;
   // Simulated "now" used to check view expiry during ViewScan binding.
   double now = 0.0;
   // Degree of parallelism for morsel-driven execution. 0 = auto (one per
-  // hardware thread); 1 = serial, reproducing the pre-parallel executor
-  // byte for byte. Any DOP produces the same output rows in the same
-  // order; only wall-clock time and floating-point cost *accumulation
-  // order* (not totals beyond rounding) differ.
+  // hardware thread); 1 = serial. Any DOP produces the same output rows in
+  // the same order; only wall-clock time and floating-point cost
+  // *accumulation order* (not totals beyond rounding) differ.
   int dop = 0;
   // Rows per morsel. Morsel boundaries depend only on input size and this
   // knob — never on dop — which is what keeps outputs DOP-invariant.
@@ -68,10 +57,8 @@ struct ExecContext {
   // Pool to run morsels on. Null = the process-wide ThreadPool::Shared()
   // (only consulted when the resolved dop > 1).
   ThreadPool* pool = nullptr;
-  // Physical engine selection; see ExecEngine.
-  ExecEngine engine = ExecEngine::kColumnar;
-  // Rows per column batch in the columnar engine (clamped to >= 1). Output
-  // is identical at any batch size; only amortization changes.
+  // Rows per column batch (clamped to >= 1). Output is identical at any
+  // batch size; only amortization changes.
   size_t batch_rows = 1024;
   // Directory of in-flight shared-producer streams, consulted by SharedScan
   // operators. Null outside a sharing window; then every SharedScan detaches
@@ -87,13 +74,36 @@ struct ExecResult {
   ExecutionStats stats;
 };
 
-// Interprets an (optimized) logical plan. The Open/Next/Close driver loop is
-// single-threaded, but operators parallelize internally: linear
-// scan/filter/project/UDO chains fuse into morsel pipelines, hash joins
-// build partitioned tables and probe in morsels, and aggregations
-// hash-partition their input — all on a shared work-stealing pool. The
-// cluster simulator combines the collected stats with the measured morsel
-// telemetry to model cluster-scale parallelism.
+// Resolves a scan leaf to its backing table, enforcing GUID version pinning
+// for datasets and expiry for views.
+Result<TablePtr> BindScanTable(const ExecContext& context,
+                               const LogicalOp& node, bool* is_view_scan);
+
+// Receives each non-empty root batch of a physical run, in output order.
+using BatchSink = std::function<Status(ColumnBatch batch)>;
+
+// One physical run of `plan`: resolves the parallel runtime (dop 0 = one
+// worker per hardware thread; the process-wide pool unless the context
+// names one), builds the batch operator tree, brackets it with the
+// PhysicalVerifier (wiring before Open, every root batch, post-run after
+// Close — verification builds only), hands each non-empty root batch to
+// `sink`, and harvests every operator's stats into *stats in build order
+// (per-node entries, totals, morsel telemetry, spool bytes/cost, dop and
+// the Open-to-Close wall time). Totals accumulate onto whatever *stats
+// already holds. The Executor, the sharing producer and a detached
+// SharedScan all run plans through this one bracket.
+Status RunBatchPlan(const ExecContext& context, const LogicalOpPtr& plan,
+                    const BatchSink& sink, ExecutionStats* stats);
+
+// Interprets an (optimized) logical plan on the columnar batch engine. The
+// Open/NextBatch/Close driver loop is single-threaded, but operators
+// parallelize internally: linear scan/filter/project/UDO chains fuse into
+// scan pipelines split into morsels, hash joins build partitioned tables
+// and probe in morsels, and aggregations hash in morsels — all on a shared
+// work-stealing pool. The cluster simulator combines the collected stats
+// with the measured morsel telemetry to model cluster-scale parallelism.
+// Outputs are specified by the serial reference interpreter in
+// tests/reference_exec.
 class Executor {
  public:
   explicit Executor(ExecContext context) : context_(std::move(context)) {}

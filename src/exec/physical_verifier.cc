@@ -34,7 +34,7 @@ std::string Describe(
 }  // namespace
 
 Status PhysicalVerifier::VerifyWiring(const LogicalOp& root,
-                                      const std::vector<PhysicalOp*>& registry,
+                                      const std::vector<BatchOp*>& registry,
                                       int dop, size_t morsel_rows) {
   if (dop < 1) {
     return Status::Corruption("physical wiring: resolved dop " +
@@ -50,10 +50,10 @@ Status PhysicalVerifier::VerifyWiring(const LogicalOp& root,
   CollectPlanNodes(root, &paths, "");
 
   // Coverage: every physical operator maps onto plan nodes (ExportStats
-  // enumerates the logical nodes it implements — several for a fused morsel
+  // enumerates the logical nodes it implements — several for a fused scan
   // pipeline), and every plan node is implemented by exactly one operator.
   std::unordered_map<const LogicalOp*, int> covered;
-  for (const PhysicalOp* op : registry) {
+  for (const BatchOp* op : registry) {
     if (op == nullptr) {
       return Status::Corruption("physical wiring: null operator in registry");
     }
@@ -85,11 +85,11 @@ Status PhysicalVerifier::VerifyWiring(const LogicalOp& root,
     }
   }
 
-  // Spools must be real spool operators (row or columnar) — fusing one away
-  // would skip materialization and the view would never seal.
-  for (PhysicalOp* op : registry) {
+  // Spools must be real spool operators — fusing one away would skip
+  // materialization and the view would never seal.
+  for (BatchOp* op : registry) {
     if (op->logical()->kind == LogicalOpKind::kSpool &&
-        dynamic_cast<SpoolOpIface*>(op) == nullptr) {
+        dynamic_cast<BatchSpoolOp*>(op) == nullptr) {
       return Status::Corruption("physical wiring: " +
                                 Describe(paths, op->logical()) +
                                 " is not backed by a spool operator");
@@ -114,24 +114,24 @@ void CollectBelowLimit(const LogicalOp& node, bool below_limit,
 }  // namespace
 
 Status PhysicalVerifier::VerifyPostRun(
-    const LogicalOp& root, const std::vector<PhysicalOp*>& registry) {
+    const LogicalOp& root, const std::vector<BatchOp*>& registry) {
   std::unordered_map<const LogicalOp*, std::string> paths;
   CollectPlanNodes(root, &paths, "");
   std::unordered_map<const LogicalOp*, bool> below_limit;
   CollectBelowLimit(root, false, &below_limit);
 
   std::unordered_map<const LogicalOp*, OperatorStats> per_node;
-  for (const PhysicalOp* op : registry) {
+  for (const BatchOp* op : registry) {
     op->ExportStats([&](const LogicalOp* node, const OperatorStats& stats) {
       per_node[node] = stats;
     });
   }
 
-  for (PhysicalOp* op : registry) {
+  for (BatchOp* op : registry) {
     const LogicalOp* node = op->logical();
     const std::string where = Describe(paths, node);
 
-    if (auto* spool = dynamic_cast<SpoolOpIface*>(op)) {
+    if (auto* spool = dynamic_cast<BatchSpoolOp*>(op)) {
       uint32_t fires = spool->completion_fires();
       if (fires > 1 || (fires == 0 && !below_limit[node])) {
         return Status::Corruption(

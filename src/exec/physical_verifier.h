@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/physical_op.h"
+#include "exec/batch_op.h"
 #include "plan/logical_plan.h"
 #include "storage/column.h"
 
@@ -14,9 +14,10 @@ namespace verify {
 // Checks the physical operator tree the Executor builds against the logical
 // plan it implements. Two entry points bracket a run:
 //
-//   VerifyWiring   — after PhysicalBuilder, before Open(): every logical
+//   VerifyWiring   — after BuildBatchPlan, before Open(): every logical
 //                    node is implemented by exactly one registered physical
-//                    operator, every spool node is backed by a real SpoolOp
+//                    operator, every spool node is backed by a real
+//                    BatchSpoolOp
 //                    (never fused away), and the resolved parallel runtime
 //                    satisfies the DOP-invariance preconditions (dop >= 1,
 //                    morsel_rows >= 1 — morsel boundaries must depend only
@@ -29,7 +30,7 @@ namespace verify {
 //                    no more than its bound, and row-preserving operators
 //                    did not emit more rows than their child produced.
 //
-// The columnar engine adds a third, per-batch check inside the drain loop:
+// A third, per-batch check runs inside the drain loop:
 //
 //   VerifyBatch    — every output batch is structurally sound: the arity
 //                    matches the plan's output schema, every column holds
@@ -40,11 +41,11 @@ namespace verify {
 class PhysicalVerifier {
  public:
   static Status VerifyWiring(const LogicalOp& root,
-                             const std::vector<PhysicalOp*>& registry,
+                             const std::vector<BatchOp*>& registry,
                              int dop, size_t morsel_rows);
 
   static Status VerifyPostRun(const LogicalOp& root,
-                              const std::vector<PhysicalOp*>& registry);
+                              const std::vector<BatchOp*>& registry);
 
   static Status VerifyBatch(const LogicalOp& root, const ColumnBatch& batch);
 };

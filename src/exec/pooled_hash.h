@@ -12,11 +12,11 @@ namespace cloudviews {
 // instead of chasing heap pointers.
 //
 // Chains use HEAD insertion and iterate head -> tail, i.e. newest-first among
-// equal hashes. This is deliberate: the row engine's
-// std::unordered_multimap::equal_range iterates equal keys in reverse
-// insertion order (libstdc++ also head-inserts), and the batch hash join must
-// emit matches in exactly that order to stay byte-identical to the row
-// reference.
+// equal hashes. This is deliberate: the hash join's specified match order
+// (tests/reference_exec) is newest-first among equal keys — the order
+// std::unordered_multimap::equal_range iterates under libstdc++ — and the
+// batch hash join must emit matches in exactly that order at any partition
+// count.
 class PooledHashTable {
  public:
   static constexpr uint32_t kNil = 0xFFFFFFFFu;

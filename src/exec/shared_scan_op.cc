@@ -4,14 +4,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "exec/batch_kernels.h"
-#include "exec/physical_verifier.h"
+#include "exec/executor.h"
 #include "fault/fault.h"
 #include "fault/fault_sites.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "verify/verify.h"
 
 namespace cloudviews {
 
@@ -106,39 +104,22 @@ Status SharedScanOp::Detach() {
   context.on_spool_complete = nullptr;
   context.on_spool_abort = nullptr;
 
-  ParallelRuntime runtime;
-  runtime.dop = context.dop > 0 ? context.dop : ThreadPool::DefaultDop();
-  runtime.morsel_rows = context.morsel_rows > 0 ? context.morsel_rows : 1;
-  if (runtime.dop > 1) {
-    runtime.pool =
-        context.pool != nullptr ? context.pool : &ThreadPool::Shared();
-  }
-
-  const LogicalOpPtr& plan = logical_->shared_fallback_plan;
-  std::vector<PhysicalOp*> registry;
-  auto built = BuildBatchPlan(context, runtime, batch_rows_, plan, &registry);
-  if (!built.ok()) return built.status();
-  BatchOpPtr root = std::move(built).value();
-  if constexpr (verify::RuntimeChecksEnabled()) {
-    CLOUDVIEWS_RETURN_NOT_OK(verify::PhysicalVerifier::VerifyWiring(
-        *plan, registry, runtime.dop, runtime.morsel_rows));
-  }
-  CLOUDVIEWS_RETURN_NOT_OK(root->Open());
-  Status drained = DrainToChunk(root.get(), &fallback_);
-  root->Close();
-  CLOUDVIEWS_RETURN_NOT_OK(drained);
-  if constexpr (verify::RuntimeChecksEnabled()) {
-    CLOUDVIEWS_RETURN_NOT_OK(
-        verify::PhysicalVerifier::VerifyPostRun(*plan, registry));
-  }
-
-  // The whole fallback compute lands on this node's account (honest: the
-  // subscriber really did that work after detaching).
-  for (PhysicalOp* op : registry) {
-    op->ExportStats([&](const LogicalOp*, const OperatorStats& op_stats) {
-      stats_.cpu_cost += op_stats.cpu_cost;
-    });
-  }
+  // The forwarded batches' cost seeds the run's total so the fallback
+  // operators' costs add onto it one by one, in build order. The whole
+  // fallback compute lands on this node's account (honest: the subscriber
+  // really did that work after detaching).
+  std::vector<ColumnBatch> batches;
+  ExecutionStats run;
+  run.total_cpu_cost = stats_.cpu_cost;
+  CLOUDVIEWS_RETURN_NOT_OK(RunBatchPlan(
+      context, logical_->shared_fallback_plan,
+      [&batches](ColumnBatch batch) {
+        batches.push_back(std::move(batch));
+        return Status::OK();
+      },
+      &run));
+  ConcatToChunk(batches, &fallback_);
+  stats_.cpu_cost = run.total_cpu_cost;
 
   // Deterministic, order-preserving execution means the rows already
   // forwarded from the stream are exactly the fallback's prefix: resume

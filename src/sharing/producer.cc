@@ -3,14 +3,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
-#include "exec/batch_op.h"
-#include "exec/physical_verifier.h"
+#include "exec/executor.h"
 #include "fault/fault.h"
 #include "fault/fault_sites.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "verify/verify.h"
 
 namespace cloudviews {
 namespace sharing {
@@ -21,56 +18,20 @@ namespace {
 // terminal transition.
 Status ProduceBatches(const ExecContext& context, const LogicalOpPtr& plan,
                       SharedStream* stream, ProducerStats* stats) {
-  ParallelRuntime runtime;
-  runtime.dop = context.dop > 0 ? context.dop : ThreadPool::DefaultDop();
-  runtime.morsel_rows = context.morsel_rows > 0 ? context.morsel_rows : 1;
-  if (runtime.dop > 1) {
-    runtime.pool =
-        context.pool != nullptr ? context.pool : &ThreadPool::Shared();
-  }
-
-  std::vector<PhysicalOp*> registry;
-  auto built =
-      BuildBatchPlan(context, runtime, context.batch_rows, plan, &registry);
-  if (!built.ok()) return built.status();
-  BatchOpPtr root = std::move(built).value();
-
-  if constexpr (verify::RuntimeChecksEnabled()) {
-    CLOUDVIEWS_RETURN_NOT_OK(verify::PhysicalVerifier::VerifyWiring(
-        *plan, registry, runtime.dop, runtime.morsel_rows));
-  }
-
-  CLOUDVIEWS_RETURN_NOT_OK(root->Open());
-  Status drain;
-  while (true) {
-    ColumnBatch batch;
-    bool done = false;
-    drain = root->NextBatch(&batch, &done);
-    if (!drain.ok() || done) break;
-    if constexpr (verify::RuntimeChecksEnabled()) {
-      drain = verify::PhysicalVerifier::VerifyBatch(*plan, batch);
-      if (!drain.ok()) break;
-    }
-    if (batch.num_rows == 0) continue;
-    // The producer is the window's single point of failure by design:
-    // chaos runs kill it here and expect every subscriber to fall back.
-    drain = fault::Inject(fault::sites::kSharingProducerAbort);
-    if (!drain.ok()) break;
-    drain = stream->Publish(std::move(batch));
-    if (!drain.ok()) break;
-    stats->batches += 1;
-  }
-  root->Close();
-  CLOUDVIEWS_RETURN_NOT_OK(drain);
-  if constexpr (verify::RuntimeChecksEnabled()) {
-    CLOUDVIEWS_RETURN_NOT_OK(
-        verify::PhysicalVerifier::VerifyPostRun(*plan, registry));
-  }
-  for (PhysicalOp* op : registry) {
-    op->ExportStats([&](const LogicalOp*, const OperatorStats& op_stats) {
-      stats->cpu_cost += op_stats.cpu_cost;
-    });
-  }
+  ExecutionStats run;
+  CLOUDVIEWS_RETURN_NOT_OK(RunBatchPlan(
+      context, plan,
+      [stream, stats](ColumnBatch batch) -> Status {
+        // The producer is the window's single point of failure by design:
+        // chaos runs kill it here and expect every subscriber to fall back.
+        CLOUDVIEWS_RETURN_NOT_OK(
+            fault::Inject(fault::sites::kSharingProducerAbort));
+        CLOUDVIEWS_RETURN_NOT_OK(stream->Publish(std::move(batch)));
+        stats->batches += 1;
+        return Status::OK();
+      },
+      &run));
+  stats->cpu_cost += run.total_cpu_cost;
   return Status::OK();
 }
 

@@ -15,8 +15,9 @@ namespace cloudviews {
 // starts untyped (every cell null) and adopts the type of the first non-null
 // cell appended. Appending a second scalar type demotes the column to
 // `mixed` storage (per-cell dynamic Values) — the correctness fallback that
-// keeps batch execution byte-identical to the row engine for heterogeneous
-// columns (e.g. SUM emitting int64 for one group and double for another).
+// keeps batch execution byte-identical to row-at-a-time Values for
+// heterogeneous columns (e.g. SUM emitting int64 for one group and double
+// for another).
 //
 // Typed storage keeps a full-length vector with defaults at null positions,
 // so kernels can read `ints()[i]` unconditionally and consult the bitmap
@@ -98,7 +99,7 @@ class ColumnVector {
   // An all-ones bitmap for n cells, tail bits zeroed.
   static std::vector<uint64_t> AllValid(size_t n);
 
-  // Sum of CellByteSize over all cells (the row engine's bytes accounting).
+  // Sum of CellByteSize over all cells (Value::ByteSize per cell).
   size_t TotalByteSize() const;
 
   // True when the null bitmap is sized consistently with size() — the

@@ -1,10 +1,10 @@
 // Differential chaos testing: one seeded random workload is executed under
 // all four combinations of {reuse ON, reuse OFF} x {faults ON, faults OFF},
-// plus arms running the row-at-a-time reference engine, runtime work
-// sharing, and generalized (containment-based) view matching — the latter
-// both clean and under the chaos fault plan. Computation reuse, the
-// failure-hardening around it, the vectorized execution core, and
-// subsumption compensation are pure optimizations — every arm must produce
+// plus arms running morsel-parallel execution with tiny batches, runtime
+// work sharing, and generalized (containment-based) view matching — the
+// latter both clean and under the chaos fault plan. Computation reuse, the
+// failure-hardening around it, parallel batch execution, and subsumption
+// compensation are pure optimizations — every arm must produce
 // byte-identical per-job outputs — and the workload repository each reuse
 // arm accumulates must stay self-consistent under the independent signature
 // auditor (which also re-verifies every subsumption hit).
@@ -90,16 +90,25 @@ struct ArmOutcome {
   int64_t sharing_producer_aborts = 0;
 };
 
+// What one arm turns on. Execution defaults to the engine's serial
+// production setting (dop 1, 1024-row batches).
+struct ArmConfig {
+  bool reuse_on = true;
+  bool faults_on = false;
+  bool sharing_on = false;
+  bool generalized_on = false;
+  int exec_dop = 1;
+  size_t exec_batch_rows = 1024;
+};
+
 // Runs `days` days of the seeded workload through a fresh engine. Each arm
 // regenerates its own catalog + job stream; the generator is deterministic
 // for a fixed profile, so job ids and plans line up across arms. With
 // `sharing_on`, each day's jobs are batched through RunSharedWindow so
 // concurrent duplicates stream from one producer instead of recomputing.
-void RunArm(uint64_t workload_seed, bool reuse_on, bool faults_on, int days,
-            ArmOutcome* outcome,
-            ExecEngine exec_engine = ExecEngine::kColumnar,
-            bool sharing_on = false, bool generalized_on = false) {
-  if (faults_on) {
+void RunArm(uint64_t workload_seed, const ArmConfig& arm, int days,
+            ArmOutcome* outcome) {
+  if (arm.faults_on) {
     ArmChaos();
   } else {
     fault::FaultInjector::Global().Disarm();
@@ -109,10 +118,11 @@ void RunArm(uint64_t workload_seed, bool reuse_on, bool faults_on, int days,
   ASSERT_TRUE(generator.Setup(&catalog).ok());
 
   ReuseEngineOptions options;
-  options.cloudviews_enabled = reuse_on;
-  options.exec_engine = exec_engine;
-  options.enable_sharing = sharing_on;
-  options.optimizer.enable_generalized_matching = generalized_on;
+  options.cloudviews_enabled = arm.reuse_on;
+  options.exec_dop = arm.exec_dop;
+  options.exec_batch_rows = arm.exec_batch_rows;
+  options.enable_sharing = arm.sharing_on;
+  options.optimizer.enable_generalized_matching = arm.generalized_on;
   options.selection.schedule_aware = false;
   options.selection.per_virtual_cluster = false;
   options.selection.strategy = SelectionStrategy::kGreedyRatio;
@@ -142,13 +152,13 @@ void RunArm(uint64_t workload_seed, bool reuse_on, bool faults_on, int days,
       day_requests.push_back(std::move(request));
     }
     std::vector<JobExecution> executions;
-    if (sharing_on) {
+    if (arm.sharing_on) {
       // The whole day's jobs act as one in-flight window: every duplicated
       // subexpression across them must execute once and stream.
       auto window = engine.RunSharedWindow(day_requests);
       ASSERT_TRUE(window.ok())
-          << "sharing window day " << day << " faults=" << faults_on << ": "
-          << window.status().ToString();
+          << "sharing window day " << day << " faults=" << arm.faults_on
+          << ": " << window.status().ToString();
       executions = std::move(*window);
     } else {
       for (const JobRequest& request : day_requests) {
@@ -157,7 +167,7 @@ void RunArm(uint64_t workload_seed, bool reuse_on, bool faults_on, int days,
         // plan may surface as a failed job.
         ASSERT_TRUE(exec.ok())
             << "job " << request.job_id << " day " << day
-            << " reuse=" << reuse_on << " faults=" << faults_on << ": "
+            << " reuse=" << arm.reuse_on << " faults=" << arm.faults_on << ": "
             << exec.status().ToString();
         executions.push_back(std::move(*exec));
       }
@@ -200,24 +210,28 @@ TEST_P(DifferentialReuseTest, AllArmsByteIdentical) {
   ArmOutcome no_reuse;    // reuse OFF, faults OFF — ground truth
   ArmOutcome chaos;       // reuse ON, faults ON  — the hardened path
   ArmOutcome chaos_bare;  // reuse OFF, faults ON — faults with nothing to hit
-  ArmOutcome row_engine;  // reuse ON, faults OFF, row-at-a-time reference
+  ArmOutcome parallel;    // reuse ON, faults OFF, dop 4 x 3-row batches
   ArmOutcome sharing;     // reuse ON, faults OFF, daily sharing windows
   ArmOutcome sharing_chaos;  // reuse ON, faults ON, sharing windows
   ArmOutcome generalized;    // reuse ON + containment matching, faults OFF
   ArmOutcome generalized_chaos;  // reuse ON + containment matching, faults ON
-  RunArm(workload_seed, true, false, kDays, &reference);
-  RunArm(workload_seed, false, false, kDays, &no_reuse);
-  RunArm(workload_seed, true, true, kDays, &chaos);
-  RunArm(workload_seed, false, true, kDays, &chaos_bare);
-  RunArm(workload_seed, true, false, kDays, &row_engine, ExecEngine::kRow);
-  RunArm(workload_seed, true, false, kDays, &sharing, ExecEngine::kColumnar,
-         /*sharing_on=*/true);
-  RunArm(workload_seed, true, true, kDays, &sharing_chaos,
-         ExecEngine::kColumnar, /*sharing_on=*/true);
-  RunArm(workload_seed, true, false, kDays, &generalized,
-         ExecEngine::kColumnar, /*sharing_on=*/false, /*generalized_on=*/true);
-  RunArm(workload_seed, true, true, kDays, &generalized_chaos,
-         ExecEngine::kColumnar, /*sharing_on=*/false, /*generalized_on=*/true);
+  RunArm(workload_seed, {.reuse_on = true}, kDays, &reference);
+  RunArm(workload_seed, {.reuse_on = false}, kDays, &no_reuse);
+  RunArm(workload_seed, {.reuse_on = true, .faults_on = true}, kDays, &chaos);
+  RunArm(workload_seed, {.reuse_on = false, .faults_on = true}, kDays,
+         &chaos_bare);
+  RunArm(workload_seed, {.reuse_on = true, .exec_dop = 4, .exec_batch_rows = 3},
+         kDays, &parallel);
+  RunArm(workload_seed, {.reuse_on = true, .sharing_on = true}, kDays,
+         &sharing);
+  RunArm(workload_seed,
+         {.reuse_on = true, .faults_on = true, .sharing_on = true}, kDays,
+         &sharing_chaos);
+  RunArm(workload_seed, {.reuse_on = true, .generalized_on = true}, kDays,
+         &generalized);
+  RunArm(workload_seed,
+         {.reuse_on = true, .faults_on = true, .generalized_on = true}, kDays,
+         &generalized_chaos);
   if (HasFatalFailure()) return;
 
   // Same job stream in every arm.
@@ -226,7 +240,7 @@ TEST_P(DifferentialReuseTest, AllArmsByteIdentical) {
   ASSERT_EQ(reference.outputs_by_job.size(),
             chaos_bare.outputs_by_job.size());
 
-  ASSERT_EQ(reference.outputs_by_job.size(), row_engine.outputs_by_job.size());
+  ASSERT_EQ(reference.outputs_by_job.size(), parallel.outputs_by_job.size());
   ASSERT_EQ(reference.outputs_by_job.size(), sharing.outputs_by_job.size());
   ASSERT_EQ(reference.outputs_by_job.size(),
             sharing_chaos.outputs_by_job.size());
@@ -243,8 +257,8 @@ TEST_P(DifferentialReuseTest, AllArmsByteIdentical) {
         << "reuse+faults changed job " << job_id;
     EXPECT_EQ(chaos_bare.outputs_by_job.at(job_id), expected)
         << "faults changed job " << job_id;
-    EXPECT_EQ(row_engine.outputs_by_job.at(job_id), expected)
-        << "columnar engine changed job " << job_id;
+    EXPECT_EQ(parallel.outputs_by_job.at(job_id), expected)
+        << "dop 4 x 3-row batches changed job " << job_id;
     EXPECT_EQ(sharing.outputs_by_job.at(job_id), expected)
         << "work sharing changed job " << job_id;
     EXPECT_EQ(sharing_chaos.outputs_by_job.at(job_id), expected)
@@ -259,10 +273,10 @@ TEST_P(DifferentialReuseTest, AllArmsByteIdentical) {
   // and reused views, and the disabled arms touched none.
   EXPECT_GT(reference.views_built, 0);
   EXPECT_GT(reference.views_matched, 0);
-  // The row-engine arm exercises the same reuse decisions: views built from
-  // row-spooled tables are interchangeable with columnar-spooled ones.
-  EXPECT_EQ(row_engine.views_built, reference.views_built);
-  EXPECT_EQ(row_engine.views_matched, reference.views_matched);
+  // The parallel arm makes the same reuse decisions: views spooled from
+  // morsel-parallel, 3-row-batch runs are interchangeable with serial ones.
+  EXPECT_EQ(parallel.views_built, reference.views_built);
+  EXPECT_EQ(parallel.views_matched, reference.views_matched);
   EXPECT_EQ(no_reuse.views_built, 0);
   EXPECT_EQ(no_reuse.views_matched, 0);
   EXPECT_EQ(chaos_bare.views_built, 0);
@@ -283,7 +297,7 @@ TEST_P(DifferentialReuseTest, AllArmsByteIdentical) {
   // contract is the byte-identity + auditor assertions above, plus: faults
   // must never manufacture subsumed hits in exact-only arms.
   EXPECT_EQ(reference.views_matched_subsumed, 0);
-  EXPECT_EQ(row_engine.views_matched_subsumed, 0);
+  EXPECT_EQ(parallel.views_matched_subsumed, 0);
   EXPECT_EQ(chaos.views_matched_subsumed, 0);
   EXPECT_EQ(chaos_bare.views_matched_subsumed, 0);
   EXPECT_GE(generalized.views_matched + generalized.views_matched_subsumed,

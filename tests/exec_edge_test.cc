@@ -5,6 +5,7 @@
 
 #include "exec/executor.h"
 #include "plan/builder.h"
+#include "tests/reference_exec.h"
 #include "tests/test_util.h"
 #include "verify/plan_verifier.h"
 
@@ -48,7 +49,30 @@ class ExecEdgeTest : public ::testing::Test {
     ExecContext context;
     context.catalog = &catalog_;
     Executor executor(context);
-    return executor.Execute(*plan);
+    auto result = executor.Execute(*plan);
+    // Every edge case also diffs against the serial reference interpreter:
+    // the same output, or a failure with the same status code.
+    auto reference = reference::Execute(context, **plan);
+    EXPECT_EQ(result.ok(), reference.ok()) << sql;
+    if (result.ok() && reference.ok()) {
+      EXPECT_EQ(Render(result->output->rows()), Render(reference->rows))
+          << sql;
+    } else if (!result.ok() && !reference.ok()) {
+      EXPECT_EQ(result.status().code(), reference.status().code()) << sql;
+    }
+    return result;
+  }
+
+  static std::string Render(const std::vector<Row>& rows) {
+    std::string out;
+    for (const Row& row : rows) {
+      for (const Value& v : row) {
+        out += v.is_null() ? "<null>" : v.ToString();
+        out += "|";
+      }
+      out += "\n";
+    }
+    return out;
   }
 
   static void SetJoin(LogicalOp* node, JoinAlgorithm algorithm) {
@@ -218,12 +242,13 @@ TEST_F(ExecEdgeTest, UnionAllWithEmptyBranch) {
 
 // --- Columnar batch-boundary edges ------------------------------------------
 //
-// The columnar engine slices inputs into batch_rows-row batches; these tests
-// pin the boundary behaviors — empty tables, row counts that do not divide
-// the batch size, all-null columns, single-row batches, and Limits that trip
-// mid-batch — always against the row engine's output. PhysicalVerifier runs
-// inside Execute() (default build), so every batch also passes the
-// structural invariants (arity, column lengths, bitmap consistency).
+// The engine slices inputs into batch_rows-row batches; these tests pin the
+// boundary behaviors — empty tables, row counts that do not divide the batch
+// size, all-null columns, single-row batches, and Limits that trip
+// mid-batch — always against the serial reference interpreter. The
+// PhysicalVerifier runs inside Execute() (default build), so every batch
+// also passes the structural invariants (arity, column lengths, bitmap
+// consistency).
 
 class BatchBoundaryTest : public ExecEdgeTest {
  protected:
@@ -239,44 +264,42 @@ class BatchBoundaryTest : public ExecEdgeTest {
     catalog_.Register("Holes", table, "guid-holes").ok();
   }
 
-  Result<ExecResult> RunAt(const std::string& sql, ExecEngine engine, int dop,
-                           size_t batch_rows) {
-    PlanBuilder builder(&catalog_);
-    auto plan = builder.BuildFromSql(sql);
-    if (!plan.ok()) return plan.status();
+  ExecContext Context(int dop, size_t batch_rows) const {
     ExecContext context;
     context.catalog = &catalog_;
     context.dop = dop;
     context.morsel_rows = 7;  // misaligned with every batch size under test
-    context.engine = engine;
     context.batch_rows = batch_rows;
-    Executor executor(context);
-    return executor.Execute(*plan);
+    return context;
   }
 
-  static std::string Render(const TablePtr& table) {
-    std::string out;
-    for (const Row& row : table->rows()) {
-      for (const Value& v : row) {
-        out += v.is_null() ? "<null>" : v.ToString();
-        out += "|";
-      }
-      out += "\n";
+  static bool HasLimit(const LogicalOp& node) {
+    if (node.kind == LogicalOpKind::kLimit) return true;
+    for (const LogicalOpPtr& child : node.children) {
+      if (HasLimit(*child)) return true;
     }
-    return out;
+    return false;
   }
 
-  // Columnar output must match the serial row engine at every dop x
-  // batch_rows, including batch sizes that do not divide the input.
+  // Output must match the reference at every dop x batch_rows, including
+  // batch sizes that do not divide the input; so must per-node stats,
+  // except under a Limit (the engine stops pulling at batch granularity).
   void ExpectBoundaryInvariant(const std::string& sql) {
-    auto reference = RunAt(sql, ExecEngine::kRow, 1, 1);
+    PlanBuilder builder(&catalog_);
+    auto plan = builder.BuildFromSql(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto reference = reference::Execute(Context(1, 1), **plan);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    const std::string expected = Render(reference->output);
+    const std::string expected = Render(reference->rows);
     for (int dop : {1, 4}) {
       for (size_t batch_rows : {size_t{1}, size_t{2}, size_t{3}, size_t{1024}}) {
-        auto r = RunAt(sql, ExecEngine::kColumnar, dop, batch_rows);
+        Executor executor(Context(dop, batch_rows));
+        auto r = executor.Execute(*plan);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
-        EXPECT_EQ(Render(r->output), expected)
+        EXPECT_EQ(Render(r->output->rows()), expected)
+            << sql << " dop=" << dop << " batch_rows=" << batch_rows;
+        if (HasLimit(**plan)) continue;
+        EXPECT_EQ(reference::StatsMismatch(r->stats, *reference), "")
             << sql << " dop=" << dop << " batch_rows=" << batch_rows;
       }
     }

@@ -307,11 +307,10 @@ TEST_F(ParallelExecTest, TracingDoesNotChangeOutput) {
 
 TEST_F(ParallelExecTest, ConcurrentScansOfSharedSpooledView) {
   // A sealed view's table is shared, read-only, by every job that reuses
-  // it. A columnar-produced view is column-primary, so the first row-engine
-  // reader triggers the lazy call_once row materialization while columnar
-  // readers stream the column arrays — all concurrently, each reader itself
-  // running parallel morsels. Run under TSan, this is the data-race canary
-  // for the shared-table path.
+  // it. A columnar-produced view is column-primary, and readers at
+  // different DOPs and batch sizes stream its column arrays concurrently,
+  // each reader itself running parallel morsels. Run under TSan, this is
+  // the data-race canary for the shared-table path.
   LogicalOpPtr source = Plan(
       "SELECT SaleId, CustomerId, Price * Quantity, Discount FROM Sales "
       "WHERE SaleId % 7 != 0");
@@ -332,8 +331,8 @@ TEST_F(ParallelExecTest, ConcurrentScansOfSharedSpooledView) {
   // concurrent-writer structure); perform it serially before the race.
   ASSERT_NE(store.Find(sig, 100.0), nullptr);
 
-  // Expected rendering from an identical but separate table, so the shared
-  // view's lazy row conversion first fires inside the racing readers.
+  // Expected rendering from an identical but separate table, so nothing
+  // reads the shared view's storage before the racing readers do.
   auto expected_run = Run(source, /*dop=*/1, /*morsel_rows=*/4096);
   ASSERT_TRUE(expected_run.ok());
   const std::vector<std::string> expected = Render(expected_run->output);
@@ -353,8 +352,7 @@ TEST_F(ParallelExecTest, ConcurrentScansOfSharedSpooledView) {
       context.now = 100.0;
       context.dop = 1 + i % 4;
       context.morsel_rows = 7;
-      context.engine = (i % 2 == 0) ? ExecEngine::kColumnar : ExecEngine::kRow;
-      context.batch_rows = (i % 3 == 0) ? 3 : 64;
+      context.batch_rows = (i % 2 == 0) ? 3 : 64;
       Executor executor(context);
       auto r = executor.Execute(view_scan);
       if (!r.ok()) {

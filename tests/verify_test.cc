@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/workload_repository.h"
-#include "exec/physical_op.h"
+#include "exec/batch_op.h"
 #include "exec/physical_verifier.h"
 #include "plan/builder.h"
 #include "plan/normalizer.h"
@@ -41,6 +41,15 @@ class VerifyTest : public ::testing::Test {
   LogicalOpPtr CustomerScan() const {
     return LogicalOp::Scan("Customer", "guid-customer-v1",
                            testing_util::MakeCustomerTable(1)->schema());
+  }
+
+  // A serial, streaming scan operator over a 3-row Customer table, in
+  // 2-row batches so a drain crosses a batch boundary.
+  static BatchOpPtr MakeScanOp(const LogicalOp* scan_node) {
+    return std::make_unique<BatchScanPipelineOp>(
+        scan_node, std::vector<const LogicalOp*>{scan_node},
+        testing_util::MakeCustomerTable(3), /*is_view_scan=*/false,
+        ParallelRuntime{}, /*batch_rows=*/2, /*eager_parallel=*/false);
   }
 
   DatasetCatalog catalog_;
@@ -207,7 +216,7 @@ TEST_F(VerifyTest, UnionBranchArityMismatchRejected) {
 
 TEST_F(VerifyTest, WiringRejectsUncoveredPlanNodes) {
   LogicalOpPtr scan = CustomerScan();
-  std::vector<PhysicalOp*> empty;
+  std::vector<BatchOp*> empty;
   Status status = verify::PhysicalVerifier::VerifyWiring(
       *scan, empty, /*dop=*/1, /*morsel_rows=*/4096);
   ASSERT_FALSE(status.ok());
@@ -218,7 +227,7 @@ TEST_F(VerifyTest, WiringRejectsUncoveredPlanNodes) {
 
 TEST_F(VerifyTest, WiringRejectsBadRuntimePreconditions) {
   LogicalOpPtr scan = CustomerScan();
-  std::vector<PhysicalOp*> empty;
+  std::vector<BatchOp*> empty;
   EXPECT_FALSE(verify::PhysicalVerifier::VerifyWiring(*scan, empty, 0, 4096)
                    .ok());
   EXPECT_FALSE(verify::PhysicalVerifier::VerifyWiring(*scan, empty, 1, 0)
@@ -228,12 +237,11 @@ TEST_F(VerifyTest, WiringRejectsBadRuntimePreconditions) {
 TEST_F(VerifyTest, PostRunRejectsUnsealedSpool) {
   LogicalOpPtr spool = LogicalOp::Spool(CustomerScan());
   const LogicalOp* scan_node = spool->children[0].get();
-  auto scan_op = std::make_unique<TableScanOp>(
-      scan_node, testing_util::MakeCustomerTable(3), /*is_view_scan=*/false);
-  TableScanOp* scan_raw = scan_op.get();
-  SpoolOp spool_op(spool.get(), std::move(scan_op),
-                   /*on_complete=*/nullptr);
-  std::vector<PhysicalOp*> registry{scan_raw, &spool_op};
+  auto scan_op = MakeScanOp(scan_node);
+  BatchOp* scan_raw = scan_op.get();
+  BatchSpoolOp spool_op(spool.get(), std::move(scan_op),
+                        /*on_complete=*/nullptr);
+  std::vector<BatchOp*> registry{scan_raw, &spool_op};
 
   ASSERT_TRUE(spool_op.Open().ok());
   // The spool is closed without ever draining to end of stream: the view
@@ -250,21 +258,20 @@ TEST_F(VerifyTest, PostRunRejectsUnsealedSpool) {
 TEST_F(VerifyTest, PostRunAcceptsDrainedSpool) {
   LogicalOpPtr spool = LogicalOp::Spool(CustomerScan());
   const LogicalOp* scan_node = spool->children[0].get();
-  auto scan_op = std::make_unique<TableScanOp>(
-      scan_node, testing_util::MakeCustomerTable(3), /*is_view_scan=*/false);
-  TableScanOp* scan_raw = scan_op.get();
+  auto scan_op = MakeScanOp(scan_node);
+  BatchOp* scan_raw = scan_op.get();
   int completions = 0;
-  SpoolOp spool_op(spool.get(), std::move(scan_op),
-                   [&](const LogicalOp&, TablePtr, const OperatorStats&) {
-                     completions += 1;
-                   });
-  std::vector<PhysicalOp*> registry{scan_raw, &spool_op};
+  BatchSpoolOp spool_op(spool.get(), std::move(scan_op),
+                        [&](const LogicalOp&, TablePtr, const OperatorStats&) {
+                          completions += 1;
+                        });
+  std::vector<BatchOp*> registry{scan_raw, &spool_op};
 
   ASSERT_TRUE(spool_op.Open().ok());
   while (true) {
-    Row row;
+    ColumnBatch batch;
     bool done = false;
-    ASSERT_TRUE(spool_op.Next(&row, &done).ok());
+    ASSERT_TRUE(spool_op.NextBatch(&batch, &done).ok());
     if (done) break;
   }
   spool_op.Close();
@@ -277,29 +284,28 @@ TEST_F(VerifyTest, PostRunAcceptsDrainedSpool) {
 TEST_F(VerifyTest, PostRunRejectsSealedRowMismatch) {
   // A spool whose seal records a different row count than it streamed —
   // the truncated-view bug the sealed-rows invariant exists to catch.
-  class ForgedSealSpoolOp : public SpoolOp {
+  class ForgedSealSpoolOp : public BatchSpoolOp {
    public:
-    using SpoolOp::SpoolOp;
+    using BatchSpoolOp::BatchSpoolOp;
     uint64_t sealed_rows() const override {
-      return SpoolOp::sealed_rows() + 1;
+      return BatchSpoolOp::sealed_rows() + 1;
     }
   };
 
   LogicalOpPtr spool = LogicalOp::Spool(CustomerScan());
   const LogicalOp* scan_node = spool->children[0].get();
-  auto scan_op = std::make_unique<TableScanOp>(
-      scan_node, testing_util::MakeCustomerTable(3), /*is_view_scan=*/false);
-  TableScanOp* scan_raw = scan_op.get();
+  auto scan_op = MakeScanOp(scan_node);
+  BatchOp* scan_raw = scan_op.get();
   ForgedSealSpoolOp spool_op(spool.get(), std::move(scan_op),
                              [](const LogicalOp&, TablePtr,
                                 const OperatorStats&) {});
-  std::vector<PhysicalOp*> registry{scan_raw, &spool_op};
+  std::vector<BatchOp*> registry{scan_raw, &spool_op};
 
   ASSERT_TRUE(spool_op.Open().ok());
   while (true) {
-    Row row;
+    ColumnBatch batch;
     bool done = false;
-    ASSERT_TRUE(spool_op.Next(&row, &done).ok());
+    ASSERT_TRUE(spool_op.NextBatch(&batch, &done).ok());
     if (done) break;
   }
   spool_op.Close();

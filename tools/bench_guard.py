@@ -15,8 +15,8 @@ Comparison rules:
     but never guarded.
 
 ``--keys REGEX`` restricts guarding to matching metric names; CI guards the
-scale-free metrics (speedups and percentages) so the committed baseline stays
-meaningful across machines. ``--update`` rewrites the baseline from the
+scale-free metrics (DOP-scaling ratios and percentages) so the committed
+baseline stays meaningful across machines. ``--update`` rewrites the baseline from the
 current run instead of comparing (the regeneration recipe in EXPERIMENTS.md).
 
 Exit status: 0 = no regression, 1 = regression or bad invocation.
@@ -31,7 +31,7 @@ import sys
 # Metrics where larger is better; everything else directional is
 # smaller-is-better (timings, cycle counts, overheads).
 HIGHER_BETTER = re.compile(
-    r"(rows_per_sec|_speedup|improvement_pct|hit_rate|_ratio)$")
+    r"(rows_per_sec|_scaling|improvement_pct|hit_rate|_ratio)$")
 LOWER_BETTER = re.compile(r"(_ms|_ns|_seconds|cycles_per_tuple|overhead_pct)$")
 # Run parameters and identifiers: recorded in the baseline, never guarded.
 BOOKKEEPING = {"bench", "scale", "runs", "days", "cpu_ghz", "queries", "jobs"}

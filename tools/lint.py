@@ -27,9 +27,7 @@ Checks, over src/, tests/, bench/, examples/, and tools/:
              GetValue, AppendValue) inside the vectorized kernel files
              (src/exec/batch_*.{h,cc}) — kernels operate on typed column
              storage (AppendCellFrom is the sanctioned typed cell bridge);
-             the row-at-a-time reference engine (physical_op.cc) is the
-             sanctioned home for row Values, and a deliberate boundary
-             crossing carries lint:allow-row-value
+             a deliberate boundary crossing carries lint:allow-row-value
   determinism no std::chrono::system_clock and no std::this_thread::
              sleep_for in src/ — engine behaviour must not depend on wall
              time (signatures, telemetry, and tests replay deterministically;
@@ -247,9 +245,7 @@ def check_include_blocks(path, raw_lines):
 
 def check_row_value(path, raw_lines, code_lines):
     """Vectorized kernels must not materialize rows: no Value construction
-    and no per-cell Value bridges. The row-at-a-time reference engine
-    (src/exec/physical_op.cc) is exempt — that path exists to produce the
-    ground truth the kernels are diffed against."""
+    and no per-cell Value bridges."""
     if not path.is_relative_to(REPO / "src" / "exec"):
         return
     if not path.name.startswith("batch_"):
