@@ -119,6 +119,43 @@ std::vector<uint64_t> AndValid(const ColumnVector& a, const ColumnVector& b,
   return out;
 }
 
+// cells[i] = ComparisonResult(op, cmp_at(i)) for i < n, with the operator
+// dispatch hoisted out of the row loop.
+template <typename CmpAt>
+std::vector<uint8_t> CompareLanes(BinaryOp op, size_t n, CmpAt cmp_at) {
+  std::vector<uint8_t> cells(n);
+  auto fill = [&](auto holds) {
+    for (size_t i = 0; i < n; ++i) cells[i] = holds(cmp_at(i)) ? 1 : 0;
+  };
+  switch (op) {
+    case BinaryOp::kEq:
+      fill([](int c) { return c == 0; });
+      break;
+    case BinaryOp::kNe:
+      fill([](int c) { return c != 0; });
+      break;
+    case BinaryOp::kLt:
+      fill([](int c) { return c < 0; });
+      break;
+    case BinaryOp::kLe:
+      fill([](int c) { return c <= 0; });
+      break;
+    case BinaryOp::kGt:
+      fill([](int c) { return c > 0; });
+      break;
+    default:  // kGe
+      fill([](int c) { return c >= 0; });
+      break;
+  }
+  return cells;
+}
+
+// Three-way comparison as Value::Compare makes it (NaN compares equal).
+template <typename T, typename U>
+int Sign3(T a, U b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
 Status EvalComparison(BinaryOp op, const ColumnVector& lhs,
                       const ColumnVector& rhs, size_t n, ColumnPtr* out) {
   const bool typed = !lhs.mixed() && !rhs.mixed();
@@ -129,25 +166,19 @@ Status EvalComparison(BinaryOp op, const ColumnVector& lhs,
   if ((l_int || l_dbl) && (r_int || r_dbl)) {
     // Typed numeric kernels: compute over every lane (null slots hold
     // defaults), then mask — DenseBool normalizes null slots back to 0.
-    std::vector<uint8_t> cells(n);
+    std::vector<uint8_t> cells;
     if (l_int && r_int) {
       const std::vector<int64_t>& a = lhs.ints();
       const std::vector<int64_t>& b = rhs.ints();
-      for (size_t i = 0; i < n; ++i) {
-        const int cmp = a[i] < b[i] ? -1 : (a[i] > b[i] ? 1 : 0);
-        cells[i] = ComparisonResult(op, cmp) ? 1 : 0;
-      }
+      cells = CompareLanes(op, n, [&](size_t i) { return Sign3(a[i], b[i]); });
     } else {
       // Cross-type numeric comparison goes through double, exactly as
       // CompareCells does for an int/double pair.
-      for (size_t i = 0; i < n; ++i) {
-        const double a = l_int ? static_cast<double>(lhs.ints()[i])
-                               : lhs.doubles()[i];
-        const double b = r_int ? static_cast<double>(rhs.ints()[i])
-                               : rhs.doubles()[i];
-        const int cmp = a < b ? -1 : (a > b ? 1 : 0);
-        cells[i] = ComparisonResult(op, cmp) ? 1 : 0;
-      }
+      cells = CompareLanes(op, n, [&](size_t i) {
+        return Sign3(
+            l_int ? static_cast<double>(lhs.ints()[i]) : lhs.doubles()[i],
+            r_int ? static_cast<double>(rhs.ints()[i]) : rhs.doubles()[i]);
+      });
     }
     *out = ColumnVector::DenseBool(std::move(cells), AndValid(lhs, rhs, n), n);
     return Status::OK();
@@ -156,12 +187,8 @@ Status EvalComparison(BinaryOp op, const ColumnVector& lhs,
       rhs.type() == DataType::kString) {
     const std::vector<std::string>& a = lhs.strings();
     const std::vector<std::string>& b = rhs.strings();
-    std::vector<uint8_t> cells(n);
-    for (size_t i = 0; i < n; ++i) {
-      const int c = a[i].compare(b[i]);
-      const int cmp = c < 0 ? -1 : (c > 0 ? 1 : 0);
-      cells[i] = ComparisonResult(op, cmp) ? 1 : 0;
-    }
+    std::vector<uint8_t> cells =
+        CompareLanes(op, n, [&](size_t i) { return a[i].compare(b[i]); });
     *out = ColumnVector::DenseBool(std::move(cells), AndValid(lhs, rhs, n), n);
     return Status::OK();
   }
@@ -176,6 +203,69 @@ Status EvalComparison(BinaryOp op, const ColumnVector& lhs,
   }
   *out = std::move(result);
   return Status::OK();
+}
+
+// The comparison that gives the same result with its operands swapped.
+BinaryOp MirrorComparison(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return BinaryOp::kGt;
+    case BinaryOp::kLe:
+      return BinaryOp::kGe;
+    case BinaryOp::kGt:
+      return BinaryOp::kLt;
+    case BinaryOp::kGe:
+      return BinaryOp::kLe;
+    default:
+      return op;  // kEq, kNe
+  }
+}
+
+// `col <op> lit` for a non-mixed column and a non-null literal, without
+// broadcasting the literal: Value::Compare / CompareCells per cell (int/int
+// exactly, other numeric pairs through double, strings and bools by value,
+// any other pair of types by type tag), null wherever the column is.
+ColumnPtr CompareWithScalar(BinaryOp op, const ColumnVector& col,
+                            const Value& lit, size_t n) {
+  const DataType ct = col.type();
+  const DataType lt = lit.type();
+  const bool c_num = ct == DataType::kInt64 || ct == DataType::kDouble;
+  const bool l_num = lt == DataType::kInt64 || lt == DataType::kDouble;
+  std::vector<uint8_t> cells;
+  if (c_num && l_num) {
+    if (ct == DataType::kInt64 && lt == DataType::kInt64) {
+      const std::vector<int64_t>& a = col.ints();
+      const int64_t v = lit.AsInt64();
+      cells = CompareLanes(op, n, [&](size_t i) { return Sign3(a[i], v); });
+    } else if (ct == DataType::kInt64) {
+      const std::vector<int64_t>& a = col.ints();
+      const double v = lit.NumericValue();
+      cells = CompareLanes(op, n, [&](size_t i) {
+        return Sign3(static_cast<double>(a[i]), v);
+      });
+    } else {
+      const std::vector<double>& a = col.doubles();
+      const double v = lit.NumericValue();
+      cells = CompareLanes(op, n, [&](size_t i) { return Sign3(a[i], v); });
+    }
+  } else if (ct == DataType::kString && lt == DataType::kString) {
+    const std::vector<std::string>& a = col.strings();
+    const std::string& v = lit.AsString();
+    cells = CompareLanes(op, n, [&](size_t i) { return a[i].compare(v); });
+  } else if (ct == DataType::kBool && lt == DataType::kBool) {
+    const std::vector<uint8_t>& a = col.bools();
+    const uint8_t v = lit.AsBool() ? 1 : 0;
+    cells = CompareLanes(op, n, [&](size_t i) { return Sign3(a[i], v); });
+  } else {
+    // Different types (or an all-null column, whose cells are all masked):
+    // every non-null cell orders against the literal by type tag alone.
+    const int cmp = static_cast<int>(ct) < static_cast<int>(lt) ? -1 : 1;
+    cells = CompareLanes(op, n, [cmp](size_t) { return cmp; });
+  }
+  const std::vector<uint64_t>& valid = col.valid_words();
+  return ColumnVector::DenseBool(
+      std::move(cells),
+      std::vector<uint64_t>(valid.begin(), valid.begin() + (n + 63) / 64), n);
 }
 
 // One arithmetic cell, mirroring EvalBinary's arithmetic tail (both operands
@@ -335,8 +425,11 @@ void GatherReferenced(const Expr& expr, const EvalInput& in,
 }
 
 // AND/OR with Expr::Evaluate's short-circuit contract: the right operand is
-// evaluated only for rows the left side leaves undecided.
-Status EvalAndOr(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
+// evaluated only for rows the left side leaves undecided. Kept out of line:
+// when the compiler inlined it into the recursive EvalBinaryBatch,
+// two-conjunct filters measured ~25% slower.
+[[gnu::noinline]] Status EvalAndOr(const Expr& expr, const EvalInput& in,
+                                   ColumnPtr* out) {
   const bool is_and = expr.binary_op == BinaryOp::kAnd;
   ColumnPtr lhs;
   Status st = EvalExprBatch(*expr.children[0], in, &lhs);
@@ -398,9 +491,44 @@ Status EvalAndOr(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   return Status::OK();
 }
 
+// A non-null literal: the operand the scalar comparison kernels take as is.
+bool IsScalar(const Expr& e) {
+  return e.kind == ExprKind::kLiteral && !e.literal.is_null();
+}
+
+// A comparison with exactly one IsScalar operand, compared against it as a
+// scalar. A literal's evaluation cannot fail, so evaluating only the other
+// operand surfaces the same errors as evaluating both in order.
+Status EvalLiteralComparison(const Expr& expr, const EvalInput& in,
+                             ColumnPtr* out) {
+  const bool literal_left = IsScalar(*expr.children[0]);
+  const Value& literal = expr.children[literal_left ? 0 : 1]->literal;
+  ColumnPtr col;
+  Status st = EvalExprBatch(*expr.children[literal_left ? 1 : 0], in, &col);
+  if (!st.ok()) return st;
+  if (!col->mixed()) {
+    *out = CompareWithScalar(
+        literal_left ? MirrorComparison(expr.binary_op) : expr.binary_op, *col,
+        literal, in.num_rows);
+    return Status::OK();
+  }
+  // A mixed column's cell types vary row by row: compare cell by cell
+  // against the broadcast literal.
+  ColumnPtr broadcast = BroadcastValue(literal, in.num_rows);
+  return literal_left
+             ? EvalComparison(expr.binary_op, *broadcast, *col, in.num_rows,
+                              out)
+             : EvalComparison(expr.binary_op, *col, *broadcast, in.num_rows,
+                              out);
+}
+
 Status EvalBinaryBatch(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   if (expr.binary_op == BinaryOp::kAnd || expr.binary_op == BinaryOp::kOr) {
     return EvalAndOr(expr, in, out);
+  }
+  if (IsComparisonOp(expr.binary_op) &&
+      IsScalar(*expr.children[0]) != IsScalar(*expr.children[1])) {
+    return EvalLiteralComparison(expr, in, out);
   }
   ColumnPtr lhs;
   Status st = EvalExprBatch(*expr.children[0], in, &lhs);

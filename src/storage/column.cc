@@ -1,5 +1,6 @@
 #include "storage/column.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -77,6 +78,48 @@ void ColumnVector::HashCellInto(size_t i, Hasher* hasher) const {
     case DataType::kString:
       hasher->Update(std::string_view(CellString(i)));
       break;
+  }
+}
+
+void ColumnVector::HashRangeInto(size_t begin, size_t end,
+                                 Hasher* hashers) const {
+  constexpr uint64_t kNullTag = 0xDEAD0011u;  // HashCellInto's null cell
+  const size_t n = end > begin ? end - begin : 0;
+  if (mixed_) {
+    for (size_t k = 0; k < n; ++k) HashCellInto(begin + k, &hashers[k]);
+    return;
+  }
+  // One loop per storage type; `update` hashes a non-null cell.
+  auto hash_cells = [&](auto update) {
+    for (size_t k = 0; k < n; ++k) {
+      if (IsNull(begin + k)) {
+        hashers[k].Update(kNullTag);
+      } else {
+        update(hashers[k], begin + k);
+      }
+    }
+  };
+  switch (type_) {
+    case DataType::kNull:
+      for (size_t k = 0; k < n; ++k) hashers[k].Update(kNullTag);
+      return;
+    case DataType::kBool:
+      hash_cells([&](Hasher& h, size_t i) { h.Update(bools_[i] != 0); });
+      return;
+    case DataType::kInt64:
+      // Through double, as HashCellInto (int 5 and double 5.0 collide).
+      hash_cells([&](Hasher& h, size_t i) {
+        h.Update(static_cast<double>(ints_[i]));
+      });
+      return;
+    case DataType::kDouble:
+      hash_cells([&](Hasher& h, size_t i) { h.Update(doubles_[i]); });
+      return;
+    case DataType::kString:
+      hash_cells([&](Hasher& h, size_t i) {
+        h.Update(std::string_view(strings_[i]));
+      });
+      return;
   }
 }
 
@@ -356,37 +399,50 @@ void ColumnVector::AppendGatherFrom(const ColumnVector& src,
                                     const std::vector<uint32_t>& indices) {
   const bool bulk_ok =
       !mixed_ && !src.mixed_ && src.type_ != DataType::kNull &&
-      (type_ == src.type_ || type_ == DataType::kNull);
+      (type_ == src.type_ || (type_ == DataType::kNull && size_ == 0));
   if (!bulk_ok) {
-    for (uint32_t idx : indices) AppendCellFrom(src, idx);
+    // Mixed storage, a type change, an all-null source, or existing nulls
+    // to backfill: the per-cell builders apply the demotion rules.
+    for (uint32_t idx : indices) {
+      if (idx == kNullIndex) {
+        AppendNull();
+      } else {
+        AppendCellFrom(src, idx);
+      }
+    }
     return;
   }
   const size_t n = indices.size();
   if (n == 0) return;
-  if (type_ == DataType::kNull && size_ > 0) {
-    // Backfill existing nulls before adopting the source type (rare path;
-    // mirrors AppendRangeFrom).
-    AppendRangeFrom(src, indices[0], indices[0] + 1);
-    for (size_t k = 1; k < n; ++k) AppendCellFrom(src, indices[k]);
-    return;
-  }
   type_ = src.type_;
+  const bool pads = std::find(indices.begin(), indices.end(), kNullIndex) !=
+                    indices.end();
+  // Pads keep the default slot resize() stores, exactly what AppendNull
+  // stores.
+  auto gather = [&](auto* dst, const auto& from) {
+    const size_t base = dst->size();
+    dst->resize(base + n);
+    auto* out = dst->data() + base;
+    if (pads) {
+      for (size_t k = 0; k < n; ++k) {
+        if (indices[k] != kNullIndex) out[k] = from[indices[k]];
+      }
+    } else {
+      for (size_t k = 0; k < n; ++k) out[k] = from[indices[k]];
+    }
+  };
   switch (type_) {
     case DataType::kBool:
-      bools_.reserve(bools_.size() + n);
-      for (uint32_t idx : indices) bools_.push_back(src.bools_[idx]);
+      gather(&bools_, src.bools_);
       break;
     case DataType::kInt64:
-      ints_.reserve(ints_.size() + n);
-      for (uint32_t idx : indices) ints_.push_back(src.ints_[idx]);
+      gather(&ints_, src.ints_);
       break;
     case DataType::kDouble:
-      doubles_.reserve(doubles_.size() + n);
-      for (uint32_t idx : indices) doubles_.push_back(src.doubles_[idx]);
+      gather(&doubles_, src.doubles_);
       break;
     case DataType::kString:
-      strings_.reserve(strings_.size() + n);
-      for (uint32_t idx : indices) strings_.push_back(src.strings_[idx]);
+      gather(&strings_, src.strings_);
       break;
     default:
       break;
@@ -395,7 +451,8 @@ void ColumnVector::AppendGatherFrom(const ColumnVector& src,
   valid_.resize((new_size + 63) / 64, 0);
   size_t bit = size_;
   for (uint32_t idx : indices) {
-    if ((src.valid_[idx >> 6] & (uint64_t{1} << (idx & 63))) != 0) {
+    if ((!pads || idx != kNullIndex) &&
+        (src.valid_[idx >> 6] & (uint64_t{1} << (idx & 63))) != 0) {
       valid_[bit >> 6] |= uint64_t{1} << (bit & 63);
     }
     ++bit;
@@ -471,6 +528,17 @@ std::shared_ptr<ColumnVector> ColumnVector::DenseDouble(
   return col;
 }
 
+std::shared_ptr<ColumnVector> ColumnVector::DenseString(
+    std::vector<std::string> cells, std::vector<uint64_t> valid, size_t n) {
+  auto col = std::make_shared<ColumnVector>();
+  col->size_ = n;
+  col->type_ = DataType::kString;
+  col->strings_ = std::move(cells);
+  col->valid_ = std::move(valid);
+  col->NormalizeDense();
+  return col;
+}
+
 std::vector<uint64_t> ColumnVector::AllValid(size_t n) {
   std::vector<uint64_t> words((n + 63) / 64, ~uint64_t{0});
   if ((n & 63) != 0 && !words.empty()) {
@@ -499,34 +567,44 @@ void ColumnVector::AppendCellFrom(const ColumnVector& src, size_t i) {
   }
 }
 
-size_t ColumnVector::TotalByteSize() const {
+size_t ColumnVector::RangeByteSize(size_t begin, size_t end) const {
+  if (begin >= end) return 0;
   size_t total = 0;
   if (!mixed_) {
     // Typed fast path: fixed-width cells contribute a constant per cell;
     // nulls are counted word-wise off the bitmap.
-    size_t present = 0;
-    for (uint64_t w : valid_) {
-      present += static_cast<size_t>(__builtin_popcountll(w));
-    }
-    const size_t null_count = size_ - present;
+    const size_t count = end - begin;
     switch (type_) {
       case DataType::kNull:
-        return size_;  // every cell null, 1 byte each
       case DataType::kBool:
-        return size_;  // 1 byte whether null or present
+        return count;  // 1 byte whether null or present
       case DataType::kInt64:
-      case DataType::kDouble:
-        return null_count + present * 8;
+      case DataType::kDouble: {
+        const size_t present = CountValid(begin, end);
+        return (count - present) + present * 8;
+      }
       case DataType::kString:
-        total = null_count;
-        for (size_t i = 0; i < size_; ++i) {
-          if (!IsNull(i)) total += strings_[i].size() + 4;
+        for (size_t i = begin; i < end; ++i) {
+          total += IsNull(i) ? 1 : strings_[i].size() + 4;
         }
         return total;
     }
   }
-  for (size_t i = 0; i < size_; ++i) total += CellByteSize(i);
+  for (size_t i = begin; i < end; ++i) total += CellByteSize(i);
   return total;
+}
+
+size_t ColumnVector::CountValid(size_t begin, size_t end) const {
+  size_t present = 0;
+  while (begin < end && (begin & 63) != 0) {
+    present += IsNull(begin) ? 0 : 1;
+    ++begin;
+  }
+  for (; begin + 64 <= end; begin += 64) {
+    present += static_cast<size_t>(__builtin_popcountll(valid_[begin >> 6]));
+  }
+  for (; begin < end; ++begin) present += IsNull(begin) ? 0 : 1;
+  return present;
 }
 
 int CompareCells(const ColumnVector& a, size_t i, const ColumnVector& b,

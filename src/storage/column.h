@@ -59,6 +59,11 @@ class ColumnVector {
   // Parity helpers — exact replicas of the Value methods of the same name.
   size_t CellByteSize(size_t i) const;
   void HashCellInto(size_t i, Hasher* hasher) const;
+  // Batched HashCellInto: feeds cell begin + k into hashers[k] for every k
+  // in [0, end - begin), with the storage-type dispatch done once per call
+  // rather than once per cell. Key hashing runs column by column over
+  // per-row Hasher states, so the per-row hash sequence is unchanged.
+  void HashRangeInto(size_t begin, size_t end, Hasher* hashers) const;
   std::string CellToString(size_t i) const;
   Value GetValue(size_t i) const;
 
@@ -77,8 +82,11 @@ class ColumnVector {
   // are the engine's throughput path; per-cell appends remain the fallback
   // for mixed-mode and type-mismatch cases.
   void AppendRangeFrom(const ColumnVector& src, size_t begin, size_t end);
+  // Appends src's cells at `indices`, in order; a kNullIndex entry appends
+  // a null (the left-outer join pad).
   void AppendGatherFrom(const ColumnVector& src,
                         const std::vector<uint32_t>& indices);
+  static constexpr uint32_t kNullIndex = 0xFFFFFFFFu;
 
   // Kernel-result factories: install fully formed typed storage. `valid` is
   // a packed bitmap of at least ceil(n/64) words; tail bits past n and cell
@@ -93,14 +101,17 @@ class ColumnVector {
   static std::shared_ptr<ColumnVector> DenseDouble(std::vector<double> cells,
                                                    std::vector<uint64_t> valid,
                                                    size_t n);
+  static std::shared_ptr<ColumnVector> DenseString(
+      std::vector<std::string> cells, std::vector<uint64_t> valid, size_t n);
 
   // The packed validity words backing IsNull (bit i set = non-null).
   const std::vector<uint64_t>& valid_words() const { return valid_; }
   // An all-ones bitmap for n cells, tail bits zeroed.
   static std::vector<uint64_t> AllValid(size_t n);
 
-  // Sum of CellByteSize over all cells (Value::ByteSize per cell).
-  size_t TotalByteSize() const;
+  // Sum of CellByteSize over cells [begin, end) (Value::ByteSize per cell).
+  size_t RangeByteSize(size_t begin, size_t end) const;
+  size_t TotalByteSize() const { return RangeByteSize(0, size_); }
 
   // True when the null bitmap is sized consistently with size() — the
   // invariant the PhysicalVerifier's batch check enforces.
@@ -108,6 +119,8 @@ class ColumnVector {
 
  private:
   void SetValid(size_t i) { valid_[i >> 6] |= uint64_t{1} << (i & 63); }
+  // Non-null cells in [begin, end), popcounted a bitmap word at a time.
+  size_t CountValid(size_t begin, size_t end) const;
   void GrowBitmap(bool valid);
   // Appends `count` bits of `words` starting at bit `begin` to the bitmap,
   // advancing size_ (typed storage must be grown by the caller).

@@ -20,8 +20,11 @@ enum class DataType {
 
 const char* DataTypeName(DataType type);
 
-// A dynamically typed scalar cell. The executor is row-oriented; rows are
-// vectors of Values. Null is represented as the monostate alternative.
+// A dynamically typed scalar cell. Null is represented as the monostate
+// alternative. The executor works on typed columns (storage/column.h), whose
+// cell-level helpers replicate these methods bit for bit; Values remain the
+// unit of row-at-a-time evaluation (Expr::Evaluate), of Table's row view and
+// of mixed-type column storage.
 class Value {
  public:
   Value() : v_(std::monostate{}) {}

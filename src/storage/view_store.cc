@@ -9,26 +9,17 @@
 namespace cloudviews {
 
 Hash128 ComputeTableChecksum(const Table& table) {
+  // Hashes cells straight out of the column arrays in row order.
+  // ColumnVector::HashCellInto feeds the hasher the same byte sequence as
+  // Value::HashInto, so the checksum is that of the table's row view.
   Hasher hasher;
   hasher.Update(static_cast<uint64_t>(table.num_rows()));
-  if (table.column_primary()) {
-    // Columnar path: hash cells straight out of the column arrays in row
-    // order, without materializing rows. ColumnVector::HashCellInto feeds
-    // the hasher the same byte sequence as Value::HashInto, so both paths
-    // produce the same checksum for the same contents.
-    const size_t num_columns = table.num_columns();
-    std::vector<ColumnPtr> columns;
-    columns.reserve(num_columns);
-    for (size_t c = 0; c < num_columns; ++c) columns.push_back(table.column(c));
-    for (size_t i = 0; i < table.num_rows(); ++i) {
-      hasher.Update(static_cast<uint64_t>(num_columns));
-      for (const ColumnPtr& col : columns) col->HashCellInto(i, &hasher);
+  const size_t num_columns = table.num_columns();
+  for (size_t i = 0; i < table.num_rows(); ++i) {
+    hasher.Update(static_cast<uint64_t>(num_columns));
+    for (size_t c = 0; c < num_columns; ++c) {
+      table.column(c)->HashCellInto(i, &hasher);
     }
-    return hasher.Finish();
-  }
-  for (const Row& row : table.rows()) {
-    hasher.Update(static_cast<uint64_t>(row.size()));
-    for (const Value& v : row) v.HashInto(&hasher);
   }
   return hasher.Finish();
 }

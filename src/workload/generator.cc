@@ -177,20 +177,33 @@ TablePtr WorkloadGenerator::GenerateDataset(int index, int day) {
   // same day twice yields identical data, keeping paired simulations fair.
   Random rng(profile_.seed ^ Mix64(static_cast<uint64_t>(index) * 1000003 +
                                    static_cast<uint64_t>(day)));
-  int rows = dataset_rows_[static_cast<size_t>(index)];
-  auto table = std::make_shared<Table>(DatasetName(index), CookedSchema());
-  table->Reserve(static_cast<size_t>(rows));
-  for (int r = 0; r < rows; ++r) {
-    Row row;
-    row.reserve(kNumCols);
-    row.push_back(Value(static_cast<int64_t>(r)));
-    row.push_back(Value(static_cast<int64_t>(rng.Uniform(kFkDomain))));
-    row.push_back(Value("cat" + std::to_string(rng.Uniform(kDim1Cardinality))));
-    row.push_back(Value(static_cast<int64_t>(rng.Uniform(kDim2Cardinality))));
-    row.push_back(Value(rng.NextDouble() * 100.0));
-    row.push_back(Value(rng.UniformRange(0, 1000)));
-    table->Append(std::move(row)).ok();
+  const size_t rows =
+      static_cast<size_t>(dataset_rows_[static_cast<size_t>(index)]);
+  // Built column-wise, drawing from rng in row order (fk, dim1, dim2,
+  // metric1, metric2 per row).
+  std::vector<int64_t> ids(rows), fks(rows), dim2s(rows), metric2s(rows);
+  std::vector<std::string> dim1s(rows);
+  std::vector<double> metric1s(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    ids[r] = static_cast<int64_t>(r);
+    fks[r] = static_cast<int64_t>(rng.Uniform(kFkDomain));
+    dim1s[r] = "cat" + std::to_string(rng.Uniform(kDim1Cardinality));
+    dim2s[r] = static_cast<int64_t>(rng.Uniform(kDim2Cardinality));
+    metric1s[r] = rng.NextDouble() * 100.0;
+    metric2s[r] = rng.UniformRange(0, 1000);
   }
+  auto valid = [rows] { return ColumnVector::AllValid(rows); };
+  ColumnBatch batch;  // CookedSchema order
+  batch.num_rows = rows;
+  batch.columns = {
+      ColumnVector::DenseInt64(std::move(ids), valid(), rows),
+      ColumnVector::DenseInt64(std::move(fks), valid(), rows),
+      ColumnVector::DenseString(std::move(dim1s), valid(), rows),
+      ColumnVector::DenseInt64(std::move(dim2s), valid(), rows),
+      ColumnVector::DenseDouble(std::move(metric1s), valid(), rows),
+      ColumnVector::DenseInt64(std::move(metric2s), valid(), rows)};
+  auto table = std::make_shared<Table>(DatasetName(index), CookedSchema());
+  table->AppendBatch(batch).ok();  // adopts the columns
   return table;
 }
 

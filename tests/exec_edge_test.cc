@@ -1,8 +1,11 @@
 // Edge cases and failure injection for the execution engine: empty inputs,
 // null join keys, empty groups, limits, and deep plans.
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
+#include "exec/batch_kernels.h"
 #include "exec/executor.h"
 #include "plan/builder.h"
 #include "tests/reference_exec.h"
@@ -262,6 +265,16 @@ class BatchBoundaryTest : public ExecEdgeTest {
       table->Append({Value(static_cast<int64_t>(i)), Value::Null()}).ok();
     }
     catalog_.Register("Holes", table, "guid-holes").ok();
+    // A key column with nulls beside a column holding every scalar type.
+    Schema mixed_schema({{"k", DataType::kInt64}, {"m", DataType::kString}});
+    auto mixed = std::make_shared<Table>("Mixed", mixed_schema);
+    const Value keys[] = {Value(int64_t{1}), Value(int64_t{2}), Value::Null(),
+                          Value(int64_t{1}), Value(int64_t{4}),
+                          Value(int64_t{3})};
+    const Value cells[] = {Value(int64_t{5}), Value("five"), Value(2.5),
+                           Value::Null(),     Value(true),   Value(-0.0)};
+    for (size_t i = 0; i < 6; ++i) mixed->Append({keys[i], cells[i]}).ok();
+    catalog_.Register("Mixed", mixed, "guid-mixed").ok();
   }
 
   ExecContext Context(int dop, size_t batch_rows) const {
@@ -284,10 +297,12 @@ class BatchBoundaryTest : public ExecEdgeTest {
   // Output must match the reference at every dop x batch_rows, including
   // batch sizes that do not divide the input; so must per-node stats,
   // except under a Limit (the engine stops pulling at batch granularity).
-  void ExpectBoundaryInvariant(const std::string& sql) {
+  void ExpectBoundaryInvariant(
+      const std::string& sql, JoinAlgorithm algorithm = JoinAlgorithm::kHash) {
     PlanBuilder builder(&catalog_);
     auto plan = builder.BuildFromSql(sql);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    SetJoin(plan->get(), algorithm);
     auto reference = reference::Execute(Context(1, 1), **plan);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     const std::string expected = Render(reference->rows);
@@ -297,7 +312,8 @@ class BatchBoundaryTest : public ExecEdgeTest {
         auto r = executor.Execute(*plan);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         EXPECT_EQ(Render(r->output->rows()), expected)
-            << sql << " dop=" << dop << " batch_rows=" << batch_rows;
+            << sql << " " << JoinAlgorithmName(algorithm) << " dop=" << dop
+            << " batch_rows=" << batch_rows;
         if (HasLimit(**plan)) continue;
         EXPECT_EQ(reference::StatsMismatch(r->stats, *reference), "")
             << sql << " dop=" << dop << " batch_rows=" << batch_rows;
@@ -341,6 +357,101 @@ TEST_F(BatchBoundaryTest, LimitTripsMidBatch) {
   ExpectBoundaryInvariant("SELECT id FROM Holes LIMIT 0");
   // Limit above a materializing sort: output slicing, not input streaming.
   ExpectBoundaryInvariant("SELECT id FROM Holes ORDER BY id DESC LIMIT 7");
+}
+
+TEST_F(BatchBoundaryTest, LeftOuterJoinPadsMixedColumnsAndEmptyBuild) {
+  // Join outputs are gathered in bulk with null pads: unmatched probe rows,
+  // rows whose residual fails, an empty build side, and mixed-type columns
+  // on either side, for every join algorithm.
+  for (JoinAlgorithm alg :
+       {JoinAlgorithm::kHash, JoinAlgorithm::kMerge, JoinAlgorithm::kLoop}) {
+    ExpectBoundaryInvariant(
+        "SELECT Mixed.k, Mixed.m, Ref.v FROM Mixed LEFT JOIN Ref "
+        "ON Mixed.k = Ref.k", alg);
+    ExpectBoundaryInvariant(
+        "SELECT Ref.v, Mixed.m, Mixed.k FROM Ref LEFT JOIN Mixed "
+        "ON Ref.k = Mixed.k AND Mixed.k < 3", alg);
+    ExpectBoundaryInvariant(
+        "SELECT Ref.v, Empty.v, Empty.k FROM Ref LEFT JOIN Empty "
+        "ON Ref.k = Empty.k", alg);
+    ExpectBoundaryInvariant(
+        "SELECT Mixed.m, Empty.k FROM Mixed LEFT JOIN Empty "
+        "ON Mixed.k = Empty.k", alg);
+  }
+}
+
+// --- Comparisons against a literal ------------------------------------------
+
+std::string RenderTyped(const Value& v) {
+  return std::string(DataTypeName(v.type())) + ":" + v.ToString();
+}
+
+TEST(LiteralComparisonTest, MatchesRowAtATimeEvaluation) {
+  // Typed int, double (with -0.0 and NaN), string and bool columns, a
+  // mixed column and an all-null column, each compared with int, double,
+  // string, bool and NULL literals on either side, under every comparison
+  // operator.
+  const std::vector<std::vector<Value>> cells = {
+      {Value(int64_t{5}), Value::Null(), Value(int64_t{-3}), Value(int64_t{0}),
+       Value(int64_t{7}), Value(int64_t{5})},
+      {Value(5.0), Value(-0.0), Value::Null(), Value(4.5),
+       Value(std::nan("")), Value(0.0)},
+      {Value("b"), Value(""), Value("bb"), Value::Null(), Value("a"),
+       Value("B")},
+      {Value(int64_t{5}), Value("b"), Value(5.0), Value::Null(), Value(true),
+       Value(-0.0)},
+      {Value::Null(), Value::Null(), Value::Null(), Value::Null(),
+       Value::Null(), Value::Null()},
+      {Value(true), Value(false), Value::Null(), Value(true), Value(false),
+       Value(false)},
+  };
+  const size_t n = cells[0].size();
+  std::vector<ColumnPtr> columns;
+  for (const std::vector<Value>& column : cells) {
+    auto col = std::make_shared<ColumnVector>();
+    for (const Value& v : column) col->AppendValue(v);
+    columns.push_back(std::move(col));
+  }
+  ASSERT_TRUE(columns[3]->mixed());
+  std::vector<Row> rows(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (const std::vector<Value>& column : cells) rows[i].push_back(column[i]);
+  }
+  const Value literals[] = {Value(int64_t{5}), Value(int64_t{0}),
+                            Value(5.0),        Value(-0.0),
+                            Value(4.75),       Value("b"),
+                            Value(""),         Value(true),
+                            Value(false),      Value::Null()};
+  const sql::BinaryOp ops[] = {sql::BinaryOp::kEq, sql::BinaryOp::kNe,
+                               sql::BinaryOp::kLt, sql::BinaryOp::kLe,
+                               sql::BinaryOp::kGt, sql::BinaryOp::kGe};
+  const EvalInput in{&columns, n};
+  for (size_t c = 0; c < columns.size(); ++c) {
+    for (const Value& literal : literals) {
+      for (sql::BinaryOp op : ops) {
+        for (bool literal_left : {false, true}) {
+          ExprPtr col = Expr::MakeColumn(static_cast<int>(c), "c");
+          ExprPtr lit = Expr::MakeLiteral(literal);
+          ExprPtr expr = literal_left ? Expr::MakeBinary(op, lit, col)
+                                      : Expr::MakeBinary(op, col, lit);
+          const std::string label =
+              "column " + std::to_string(c) + " literal " +
+              RenderTyped(literal) + " op " +
+              std::to_string(static_cast<int>(op)) +
+              (literal_left ? " (literal left)" : "");
+          ColumnPtr got;
+          ASSERT_TRUE(EvalExprBatch(*expr, in, &got).ok()) << label;
+          ASSERT_EQ(got->size(), n) << label;
+          for (size_t i = 0; i < n; ++i) {
+            auto want = expr->Evaluate(rows[i]);
+            ASSERT_TRUE(want.ok()) << label;
+            EXPECT_EQ(RenderTyped(got->GetValue(i)), RenderTyped(*want))
+                << label << " row " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "storage/catalog.h"
+#include "storage/column.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -116,6 +117,184 @@ TEST(TableTest, ArityMismatchRejected) {
   Status s = t.Append({Value(int64_t{1}), Value(int64_t{2})});
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(t.num_rows(), 0u);
+}
+
+// Cell (row r, column c) of the parity tables below: ints, doubles (with
+// -0.0), strings (empty, inline and heap-sized), an all-null column, and a
+// mixed column cycling through every scalar type; nulls in every column.
+Value ParityCell(size_t r, size_t c) {
+  if (r % 7 == 3) return Value::Null();
+  switch (c) {
+    case 0:
+      return Value(static_cast<int64_t>(r * 37 % 101) - 50);
+    case 1:
+      return r % 5 == 0 ? Value(-0.0) : Value(static_cast<double>(r) / 8.0);
+    case 2:
+      return r % 4 == 0 ? Value("")
+                        : Value(std::string(r % 23, 'a' + r % 26));
+    case 3:
+      return Value::Null();
+    default:
+      switch (r % 4) {
+        case 0:
+          return Value(static_cast<int64_t>(r));
+        case 1:
+          return Value("s" + std::to_string(r));
+        case 2:
+          return Value(static_cast<double>(r) + 0.5);
+        default:
+          return Value(r % 8 == 3);
+      }
+  }
+}
+
+std::string RenderCell(const Value& v) {
+  return std::string(DataTypeName(v.type())) + ":" + v.ToString();
+}
+
+TEST(TableTest, RowAndColumnLoadsAgree) {
+  // The same cells loaded row by row and column-wise (an adopted first
+  // batch, then a copied second one) must be indistinguishable.
+  Schema schema({{"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"s", DataType::kString},
+                 {"n", DataType::kNull},
+                 {"m", DataType::kString}});
+  const size_t kRows = 150;  // spans several 64-row byte-index blocks
+  const size_t kSplit = 70;
+  Table by_row("t", schema);
+  Table by_column("t", schema);
+  for (size_t r = 0; r < kRows; ++r) {
+    Row row;
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      row.push_back(ParityCell(r, c));
+    }
+    ASSERT_TRUE(by_row.Append(std::move(row)).ok());
+  }
+  for (auto [begin, end] : {std::pair<size_t, size_t>{0, kSplit},
+                            std::pair<size_t, size_t>{kSplit, kRows}}) {
+    ColumnBatch batch;
+    batch.num_rows = end - begin;
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      auto col = std::make_shared<ColumnVector>();
+      for (size_t r = begin; r < end; ++r) col->AppendValue(ParityCell(r, c));
+      batch.columns.push_back(std::move(col));
+    }
+    ASSERT_TRUE(by_column.AppendBatch(batch).ok());
+  }
+
+  ASSERT_EQ(by_row.num_rows(), kRows);
+  ASSERT_EQ(by_column.num_rows(), kRows);
+  size_t want_bytes = 0;
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      want_bytes += ParityCell(r, c).ByteSize();
+    }
+  }
+  EXPECT_EQ(by_row.byte_size(), want_bytes);
+  EXPECT_EQ(by_column.byte_size(), want_bytes);
+  EXPECT_EQ(ComputeTableChecksum(by_row), ComputeTableChecksum(by_column));
+  EXPECT_TRUE(by_column.column(4)->mixed());
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      const std::string want = RenderCell(ParityCell(r, c));
+      ASSERT_EQ(RenderCell(by_row.row(r)[c]), want) << r << "," << c;
+      ASSERT_EQ(RenderCell(by_column.row(r)[c]), want) << r << "," << c;
+      ASSERT_EQ(RenderCell(by_row.column(c)->GetValue(r)), want);
+      ASSERT_EQ(RenderCell(by_column.column(c)->GetValue(r)), want);
+    }
+  }
+  // Range byte sizes from the per-block index equal the per-cell sums, for
+  // aligned, unaligned, in-block and whole-table ranges.
+  for (auto [begin, end] :
+       {std::pair<size_t, size_t>{0, kRows}, {0, 64}, {64, 128}, {3, 5},
+        {10, 140}, {63, 65}, {128, kRows}, {7, 7}}) {
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      size_t want = 0;
+      for (size_t r = begin; r < end; ++r) want += ParityCell(r, c).ByteSize();
+      EXPECT_EQ(by_row.RangeByteSize(c, begin, end), want)
+          << c << " [" << begin << "," << end << ")";
+      EXPECT_EQ(by_column.RangeByteSize(c, begin, end), want)
+          << c << " [" << begin << "," << end << ")";
+    }
+  }
+}
+
+TEST(TableTest, FirstBatchIsAdoptedLaterAppendsCopy) {
+  Schema schema({{"id", DataType::kInt64}});
+  auto ids = std::make_shared<ColumnVector>();
+  ids->AppendInt64(1);
+  ids->AppendInt64(2);
+  ColumnBatch batch;
+  batch.columns = {ids};
+  batch.num_rows = 2;
+  Table t("t", schema);
+  ASSERT_TRUE(t.AppendBatch(batch).ok());
+  EXPECT_EQ(t.column(0).get(), ids.get());  // shared, not copied
+  ASSERT_TRUE(t.AppendBatch(batch).ok());
+  EXPECT_NE(t.column(0).get(), ids.get());  // copied before the write
+  EXPECT_EQ(ids->size(), 2u);               // the producer's buffer is intact
+  EXPECT_EQ(t.num_rows(), 4u);
+  EXPECT_EQ(t.row(3)[0].AsInt64(), 2);
+  EXPECT_EQ(t.byte_size(), 32u);
+}
+
+// --- ColumnVector ----------------------------------------------------------
+
+TEST(ColumnTest, HashRangeIntoMatchesValueHashInto) {
+  // Every storage mode: typed ints, doubles (with -0.0 and 0.0, which hash
+  // alike), strings, bools, an all-null column, and a mixed column; every
+  // one carries nulls.
+  const std::vector<std::vector<Value>> columns = {
+      {Value(int64_t{5}), Value::Null(), Value(int64_t{-7}), Value(int64_t{0})},
+      {Value(-0.0), Value(0.0), Value::Null(), Value(5.0)},
+      {Value(""), Value::Null(), Value("abcdefghij"), Value("x")},
+      {Value(true), Value::Null(), Value(false), Value(true)},
+      {Value::Null(), Value::Null(), Value::Null(), Value::Null()},
+      {Value(int64_t{5}), Value("5"), Value::Null(), Value(2.5)},
+  };
+  for (size_t c = 0; c < columns.size(); ++c) {
+    ColumnVector col;
+    for (const Value& v : columns[c]) col.AppendValue(v);
+    for (size_t begin = 0; begin < col.size(); ++begin) {
+      std::vector<Hasher> batched(col.size() - begin, Hasher(17));
+      col.HashRangeInto(begin, col.size(), batched.data());
+      for (size_t i = begin; i < col.size(); ++i) {
+        Hasher want(17);
+        columns[c][i].HashInto(&want);
+        EXPECT_EQ(batched[i - begin].Finish(), want.Finish())
+            << "column " << c << " row " << i;
+      }
+    }
+  }
+  // -0.0 and 0.0 (and int 0) hash alike, as Value::Compare calls them equal.
+  EXPECT_EQ(HashRowKey({Value(-0.0)}, {0}), HashRowKey({Value(0.0)}, {0}));
+  EXPECT_EQ(HashRowKey({Value(int64_t{0})}, {0}),
+            HashRowKey({Value(0.0)}, {0}));
+}
+
+TEST(ColumnTest, GatherWithPadsMatchesPerCellAppends) {
+  ColumnVector ints;
+  for (int64_t v : {4, 5, 6}) ints.AppendInt64(v);
+  ints.AppendNull();
+  const std::vector<uint32_t> indices = {2, ColumnVector::kNullIndex, 0, 3,
+                                         ColumnVector::kNullIndex, 1};
+  ColumnVector gathered;
+  gathered.AppendGatherFrom(ints, indices);
+  ColumnVector per_cell;
+  for (uint32_t idx : indices) {
+    if (idx == ColumnVector::kNullIndex) {
+      per_cell.AppendNull();
+    } else {
+      per_cell.AppendCellFrom(ints, idx);
+    }
+  }
+  ASSERT_EQ(gathered.size(), per_cell.size());
+  EXPECT_TRUE(gathered.BitmapConsistent());
+  EXPECT_EQ(gathered.type(), DataType::kInt64);
+  EXPECT_EQ(gathered.ints(), per_cell.ints());
+  EXPECT_EQ(gathered.valid_words(), per_cell.valid_words());
+  EXPECT_EQ(gathered.TotalByteSize(), per_cell.TotalByteSize());
 }
 
 // --- DatasetCatalog ------------------------------------------------------------
