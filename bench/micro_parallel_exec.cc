@@ -16,6 +16,10 @@
 #include <limits>
 #include <string>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "bench_util.h"
 #include "exec/executor.h"
 #include "plan/builder.h"
@@ -98,6 +102,14 @@ int RunBench(int argc, char** argv) {
     if (std::strncmp(argv[i], "--runs=", 7) == 0) runs = std::atoi(argv[i] + 7);
   }
   const double ghz = CpuGhz();
+#if defined(__GLIBC__)
+  // glibc moves its mmap and trim thresholds as large blocks are freed, so
+  // the table builds below would leave them wherever their heap history put
+  // them, and each query's output table would then re-fault trimmed heap
+  // pages. Pinning both first keeps every DOP timing on a warm heap.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
+#endif
   bench_util::PrintHeader(
       "Parallel execution micro: columnar engine, DOP {1, 4, 8}",
       "ROADMAP item 2: execution that scales with cores");

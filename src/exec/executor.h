@@ -27,8 +27,8 @@ class StreamDirectory;
 // every member below must stay immutable (and the pointed-to catalog /
 // view store unmodified) for the duration of the call. `on_spool_complete`
 // itself is only ever invoked from the driver thread that called Execute(),
-// but when several Executors run concurrently (see
-// extensions/concurrent_reuse.cc) the callback fires concurrently across
+// but when several Executors run concurrently (tests/concurrent_reuse_test.cc
+// races eight of them on one spool) the callback fires concurrently across
 // jobs and must synchronize any state it shares between them.
 struct ExecContext {
   const DatasetCatalog* catalog = nullptr;

@@ -634,38 +634,6 @@ ExprPtr CanonicalConjunction(std::vector<ExprPtr> conjuncts) {
   return out;
 }
 
-std::optional<std::vector<ColumnRange>> ExtractRanges(const ExprPtr& pred) {
-  std::vector<ExprPtr> conjuncts;
-  SplitConjuncts(pred, &conjuncts);
-  std::vector<ColumnRange> ranges;
-  for (const ExprPtr& conjunct : conjuncts) {
-    std::optional<ColumnRange> range = RangeFromConjunct(conjunct);
-    if (!range.has_value()) return std::nullopt;
-    MergeRange(&ranges, std::move(*range));
-  }
-  return ranges;
-}
-
-bool Implies(const ExprPtr& p, const ExprPtr& v) {
-  if (v == nullptr) return true;   // view keeps everything
-  if (p == nullptr) return false;  // query keeps everything, view might not
-  auto p_ranges = ExtractRanges(p);
-  auto v_ranges = ExtractRanges(v);
-  if (!p_ranges.has_value() || !v_ranges.has_value()) return false;
-  // Every view constraint must be implied by the query's constraints on the
-  // same column.
-  for (const ColumnRange& view_range : *v_ranges) {
-    auto query_range =
-        std::find_if(p_ranges->begin(), p_ranges->end(),
-                     [&](const ColumnRange& r) {
-                       return r.column == view_range.column;
-                     });
-    if (query_range == p_ranges->end()) return false;  // unconstrained in p
-    if (!query_range->ContainedIn(view_range)) return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Stage-2 entry points.
 

@@ -46,15 +46,6 @@ struct ColumnRange {
 // negations, null literals) is "opaque" and returns nullopt.
 std::optional<ColumnRange> RangeFromConjunct(const ExprPtr& conjunct);
 
-// Extracts per-column ranges from a conjunctive predicate. Returns nullopt
-// when the predicate contains an opaque conjunct.
-std::optional<std::vector<ColumnRange>> ExtractRanges(const ExprPtr& pred);
-
-// `Implies(p, v)` returns true when every row satisfying p also satisfies v
-// — i.e. a view filtered by v can answer a query filtered by p with a
-// compensating filter.
-bool Implies(const ExprPtr& p, const ExprPtr& v);
-
 // Splits a predicate into its AND-conjunct list (left-deep flattening).
 void SplitConjuncts(const ExprPtr& pred, std::vector<ExprPtr>* out);
 

@@ -9,8 +9,9 @@
 #include "common/thread_pool.h"
 #include "core/insights_service.h"
 #include "core/view_selection.h"
-#include "extensions/concurrent_reuse.h"
+#include "exec/executor.h"
 #include "plan/builder.h"
+#include "plan/normalizer.h"
 #include "plan/signature.h"
 #include "tests/test_util.h"
 
@@ -44,98 +45,13 @@ const char* kQ1 =
     "SELECT Customer.CustomerId, AVG(Price * Quantity) FROM Sales "
     "JOIN Customer ON Sales.CustomerId = Customer.CustomerId "
     "WHERE MktSegment = 'Asia' GROUP BY Customer.CustomerId";
-const char* kQ2 =
-    "SELECT Name, SUM(Quantity) FROM Sales "
-    "JOIN Customer ON Sales.CustomerId = Customer.CustomerId "
-    "WHERE MktSegment = 'Asia' GROUP BY Name";
-const char* kQ3 =
-    "SELECT MktSegment, COUNT(*) FROM Customer GROUP BY MktSegment";
-
-TEST_F(ConcurrentReuseTest, SharedSubexpressionComputedOnce) {
-  ConcurrentBatchExecutor executor(&catalog_);
-  std::vector<BatchJob> batch = {{1, Build(kQ1)}, {2, Build(kQ2)}};
-  auto result = executor.ExecuteBatch(batch);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->jobs.size(), 2u);
-  EXPECT_EQ(result->shared_subexpressions, 1);
-  EXPECT_EQ(result->jobs[0].shared_hits, 0);  // the producer
-  EXPECT_EQ(result->jobs[1].shared_hits, 1);  // pipelined consumer
-  EXPECT_LT(result->cpu_cost_total, result->cpu_cost_without_sharing);
-}
-
-TEST_F(ConcurrentReuseTest, ResultsMatchIsolatedExecution) {
-  ConcurrentBatchExecutor executor(&catalog_);
-  std::vector<BatchJob> batch = {{1, Build(kQ1)}, {2, Build(kQ2)},
-                                 {3, Build(kQ3)}};
-  auto result = executor.ExecuteBatch(batch);
-  ASSERT_TRUE(result.ok());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    TablePtr isolated = RunIsolated(batch[i].plan);
-    ASSERT_NE(isolated, nullptr);
-    EXPECT_EQ(result->jobs[i].output->num_rows(), isolated->num_rows())
-        << "job " << batch[i].job_id;
-  }
-}
-
-TEST_F(ConcurrentReuseTest, UnrelatedJobsShareNothing) {
-  ConcurrentBatchExecutor executor(&catalog_);
-  std::vector<BatchJob> batch = {
-      {1, Build(kQ3)},
-      {2, Build("SELECT Brand, COUNT(*) FROM Parts GROUP BY Brand")}};
-  auto result = executor.ExecuteBatch(batch);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->shared_subexpressions, 0);
-  EXPECT_DOUBLE_EQ(result->cpu_cost_total, result->cpu_cost_without_sharing);
-}
-
-TEST_F(ConcurrentReuseTest, ThreeWaySharing) {
-  // Three jobs share the filtered join; it must be computed exactly once.
-  ConcurrentBatchExecutor executor(&catalog_);
-  std::vector<BatchJob> batch = {{1, Build(kQ1)}, {2, Build(kQ2)},
-                                 {3, Build(kQ1)}};
-  auto result = executor.ExecuteBatch(batch);
-  ASSERT_TRUE(result.ok());
-  // At least the filtered join is shared; jobs 1 and 3 being identical, the
-  // whole duplicate plan is also cached and served (a bigger win).
-  EXPECT_GE(result->shared_subexpressions, 1);
-  EXPECT_GE(result->jobs[1].shared_hits + result->jobs[2].shared_hits, 2);
-  // Job 3 is answered almost entirely from the cache.
-  EXPECT_LT(result->jobs[2].stats.total_cpu_cost,
-            result->jobs[0].stats.total_cpu_cost * 0.25);
-  // Identical queries also produce identical outputs.
-  EXPECT_EQ(result->jobs[0].output->num_rows(),
-            result->jobs[2].output->num_rows());
-}
-
-TEST_F(ConcurrentReuseTest, MemoryBudgetDisablesSharing) {
-  ConcurrentBatchExecutor::Options options;
-  options.memory_budget_bytes = 1;  // nothing fits
-  ConcurrentBatchExecutor executor(&catalog_, options);
-  std::vector<BatchJob> batch = {{1, Build(kQ1)}, {2, Build(kQ2)}};
-  auto result = executor.ExecuteBatch(batch);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->jobs[1].shared_hits, 0);
-  // Correctness is unaffected.
-  TablePtr isolated = RunIsolated(batch[1].plan);
-  EXPECT_EQ(result->jobs[1].output->num_rows(), isolated->num_rows());
-}
-
-TEST_F(ConcurrentReuseTest, MinSubtreeSizeRespected) {
-  ConcurrentBatchExecutor::Options options;
-  options.min_subtree_size = 100;  // nothing is big enough
-  ConcurrentBatchExecutor executor(&catalog_, options);
-  std::vector<BatchJob> batch = {{1, Build(kQ1)}, {2, Build(kQ2)}};
-  auto result = executor.ExecuteBatch(batch);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->shared_subexpressions, 0);
-}
 
 TEST_F(ConcurrentReuseTest, SpoolSealsExactlyOnceUnderConcurrency) {
   // Eight executors race to materialize the same spooled subexpression.
   // Every SpoolOp instance must fire its completion callback exactly once
   // (the atomic early-sealing latch), and a shared first-wins registry —
-  // the pattern checkpointing and the view store use — must end up with
-  // exactly one sealed copy per signature.
+  // the pattern the view store uses — must end up with exactly one sealed
+  // copy per signature.
   constexpr int kJobs = 8;
 
   LogicalOpPtr base = Build(kQ1);
@@ -268,16 +184,6 @@ TEST_F(ConcurrentReuseTest, ConcurrentAnnotationFetchesCountEveryCall) {
   EXPECT_EQ(service.fetch_count(), kThreads * kFetchesPerThread);
   EXPECT_EQ(hits_seen.load(), kThreads * kFetchesPerThread);
   EXPECT_GT(service.total_fetch_latency(), 0.0);
-}
-
-TEST_F(ConcurrentReuseTest, EmptyAndInvalidBatches) {
-  ConcurrentBatchExecutor executor(&catalog_);
-  auto empty = executor.ExecuteBatch({});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->jobs.empty());
-
-  std::vector<BatchJob> bad = {{1, nullptr}};
-  EXPECT_FALSE(executor.ExecuteBatch(bad).ok());
 }
 
 }  // namespace

@@ -114,6 +114,84 @@ class GeneralizedMatchingTest : public ::testing::Test {
   DatasetCatalog catalog_;
 };
 
+// --- Filter containment over one scan: the range fragment -------------------
+
+ExprPtr IdCmp(sql::BinaryOp op, int64_t bound) {
+  return Expr::MakeBinary(op, Col(kColId, "id"), IntLit(bound));
+}
+ExprPtr IdGt(int64_t bound) { return IdCmp(sql::BinaryOp::kGt, bound); }
+ExprPtr IdLt(int64_t bound) { return IdCmp(sql::BinaryOp::kLt, bound); }
+ExprPtr IdEq(int64_t bound) { return IdCmp(sql::BinaryOp::kEq, bound); }
+ExprPtr And(ExprPtr a, ExprPtr b) {
+  return Expr::MakeBinary(sql::BinaryOp::kAnd, std::move(a), std::move(b));
+}
+
+// Each case checks Filter(query, events) against Filter(view, events); a
+// null predicate stands for the bare scan (that side kept every row).
+TEST_F(GeneralizedMatchingTest, FilterContainmentCases) {
+  struct Case {
+    const char* name;
+    ExprPtr query;
+    ExprPtr view;
+    bool contained;
+  };
+  const ExprPtr fk_lt_3 =
+      Expr::MakeBinary(sql::BinaryOp::kLt, Col(kColFk, "fk"), IntLit(3));
+  const std::vector<Case> cases = {
+      // The paper's example: CustomerId > 6 is contained in CustomerId > 5.
+      {"range", IdGt(6), IdGt(5), true},
+      {"range widened", IdGt(5), IdGt(6), false},
+      {"range reflexive", IdGt(5), IdGt(5), true},
+      {"equality inside range", IdEq(7), IdGt(5), true},
+      {"equality outside range", IdEq(3), IdGt(5), false},
+      {"equality inside two-sided range", IdEq(7), And(IdGt(5), IdLt(10)),
+       true},
+      // Extra query constraints only narrow; an extra view constraint on a
+      // column the query leaves free does not.
+      {"extra query column", And(IdGt(6), fk_lt_3), IdGt(5), true},
+      {"extra view column", IdGt(6), And(IdGt(5), fk_lt_3), false},
+      {"two-sided inside two-sided", And(IdGt(10), IdLt(20)),
+       And(IdGt(5), IdLt(25)), true},
+      {"two-sided overhanging", And(IdGt(10), IdLt(30)),
+       And(IdGt(5), IdLt(25)), false},
+      {"exclusive inside inclusive", IdGt(5), IdCmp(sql::BinaryOp::kGe, 5),
+       true},
+      {"inclusive inside exclusive", IdCmp(sql::BinaryOp::kGe, 5), IdGt(5),
+       false},
+      // 5 < id is id > 5.
+      {"reversed operands", IdGt(6),
+       Expr::MakeBinary(sql::BinaryOp::kLt, IntLit(5), Col(kColId, "id")),
+       true},
+      // Shapes outside the fragment are rejected, never accepted.
+      {"opaque OR", Expr::MakeBinary(sql::BinaryOp::kOr, IdGt(5), IdLt(2)),
+       IdGt(5), false},
+      {"opaque cross-column",
+       Expr::MakeBinary(sql::BinaryOp::kGt, Col(kColId, "id"),
+                        Col(kColFk, "fk")),
+       IdGt(5), false},
+      // The paper's undecidable example: 2 * id > 10 against id > 5.
+      {"opaque arithmetic",
+       Expr::MakeBinary(sql::BinaryOp::kGt,
+                        Expr::MakeBinary(sql::BinaryOp::kMultiply, IntLit(2),
+                                         Col(kColId, "id")),
+                        IntLit(10)),
+       IdGt(5), false},
+      {"view without filter", IdGt(5), nullptr, true},
+      {"query without filter", nullptr, IdGt(5), false},
+      {"unsatisfiable query", And(IdGt(10), IdLt(5)), IdGt(100), true},
+  };
+  auto filtered = [&](const ExprPtr& pred) {
+    return pred == nullptr ? Scan("events")
+                           : LogicalOp::Filter(Scan("events"), pred);
+  };
+  for (const Case& c : cases) {
+    SubsumptionResult proof =
+        CheckSubsumption(*filtered(c.query), *filtered(c.view));
+    EXPECT_EQ(proof.contained, c.contained)
+        << c.name << ": " << proof.reject_reason;
+  }
+}
+
 // --- Near-miss negatives: the checker must decline, never mis-accept -------
 
 TEST_F(GeneralizedMatchingTest, DisjunctivePredicateRejected) {

@@ -369,6 +369,22 @@ TEST_F(SharingWindowTest, DegenerateWindowsUseSerialPath) {
   EXPECT_GT((*single)[0].output->num_rows(), 0u);
   EXPECT_EQ(engine.sharing_stats().windows, 0);
 
+  // Jobs with no common eligible subexpression open no stream and answer
+  // exactly as they do serially.
+  std::vector<JobRequest> unrelated = {
+      MakeJob(4,
+              "SELECT MktSegment, COUNT(*) FROM Customer GROUP BY MktSegment",
+              10.0),
+      MakeJob(5, "SELECT Brand, COUNT(*) FROM Parts GROUP BY Brand", 11.0)};
+  auto disjoint = engine.RunSharedWindow(unrelated);
+  ASSERT_TRUE(disjoint.ok()) << disjoint.status().ToString();
+  ASSERT_EQ(disjoint->size(), unrelated.size());
+  EXPECT_EQ(engine.sharing_stats().streams, 0);
+  std::vector<std::string> expected = SerialOutputs(unrelated);
+  for (size_t i = 0; i < unrelated.size(); ++i) {
+    EXPECT_EQ(Render((*disjoint)[i].output), expected[i]);
+  }
+
   // Sharing disabled: the window API is still usable, serially.
   ReuseEngine plain(&catalog, EngineOptions(false));
   plain.insights().controls().enabled_vcs.insert("vc0");

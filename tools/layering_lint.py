@@ -19,7 +19,6 @@ The declared contract (edges point at allowed dependencies):
     verify     -> common, plan, storage
     exec       -> common, fault, obs, plan, storage, verify
     optimizer  -> common, obs, plan, storage, verify
-    extensions -> exec, optimizer, ...
     sharing    -> exec, optimizer, ...
     core       -> exec, optimizer, sharing, ...
     cluster    -> core, ...
@@ -47,7 +46,6 @@ ALLOWED_DEPS = {
     "verify": {"common", "plan", "storage"},
     "exec": {"common", "fault", "obs", "plan", "storage", "verify"},
     "optimizer": {"common", "obs", "plan", "storage", "verify"},
-    "extensions": {"common", "exec", "optimizer", "plan", "storage"},
     "sharing": {"common", "exec", "fault", "obs", "optimizer", "plan",
                 "verify"},
     "core": {"common", "exec", "fault", "obs", "optimizer", "plan", "sharing",
